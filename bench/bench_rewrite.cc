@@ -46,7 +46,7 @@ void RunRewrite(benchmark::State& state, bool heuristic) {
   RewriteOptions options;
   options.use_cover_heuristic = heuristic;
   options.prune_dominated = false;
-  options.parallelism = 1;  // the sequential algorithm, on any host
+  options.parallelism = 1;  // inline verification, on any host
   RewriteResult last;
   for (auto _ : state) {
     auto result = RewriteQuery(query, views, options);
@@ -135,11 +135,10 @@ void BM_RewriteObserved(benchmark::State& state) {
 BENCHMARK(BM_RewriteObserved)->DenseRange(1, 6);
 
 void RunParallelStar(benchmark::State& state, bool heuristic) {
-  // CL-PAR: the k=7 CL-EXP-CAND star under the parallel verification
-  // pipeline, swept over worker counts. All 2^7 - 1 candidates compose to
-  // α-equivalent rule sets, so the verdict memo answers all but the first
-  // \S4 test per worker — on a single-core host the whole speedup is
-  // sharing, on a multi-core host threads add to it.
+  // CL-PAR: the k=7 CL-EXP-CAND star, swept over worker counts. The memos
+  // are on at every count (all 2^7 - 1 candidates compose to α-equivalent
+  // rule sets, so the verdict memo answers all but the first \S4 test per
+  // worker); the sweep measures what threads add to inline verification.
   const size_t workers = static_cast<size_t>(state.range(0));
   const int k = 7;
   TslQuery query = MakeStarQuery(k);

@@ -17,7 +17,7 @@ Excluded from the gate:
     ``Parallel.*/(2|4|8)$``): their wall clock depends on worker
     scheduling and host core count, which CI does not control. The
     ``parallelism=1`` rows of the same sweeps stay gated — they are the
-    sequential path this script protects.
+    single-thread (inline verification) path this script protects.
 
 Overhead mode::
 

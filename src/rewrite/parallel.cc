@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "rewrite/compose.h"
 #include "runtime/thread_pool.h"
 #include "tsl/canonical.h"
@@ -23,16 +25,28 @@ namespace tslrw {
 
 namespace {
 
-/// Candidates per worker task. Large enough that queue/lock/wakeup traffic
+/// Candidates per pool task. Large enough that queue/lock/wakeup traffic
 /// stays a rounding error next to the per-candidate chase + composition;
 /// small enough that a search in the hundreds of candidates still spreads
 /// across a pool. (Searches smaller than one batch lose nothing: their
-/// wall clock is dominated by the first uncached equivalence test.)
+/// wall clock is dominated by the first uncached equivalence test.) Inline
+/// verification uses batches of one instead, see Pipeline.
 constexpr size_t kBatchSize = 32;
 
-/// How one candidate's verification ended; the stages mirror the decision
-/// points of the sequential loop in rewriter.cc so that commit can replay
-/// them in enumeration order. Keep the two in lockstep.
+using SteadyClock = std::chrono::steady_clock;
+
+/// Observes the microseconds since \p start into \p hist (null: no-op).
+void ObserveSince(Histogram* hist, SteadyClock::time_point start) {
+  if (hist == nullptr) return;
+  hist->Observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          SteadyClock::now() - start)
+          .count()));
+}
+
+/// How one candidate's verification ended: the decision points of the
+/// Step 1C/2 ladder (safety, chase, composition, \S4 test), which commit
+/// replays in enumeration order.
 struct Slot {
   enum class Stage {
     kDominated,   // resolved at dispatch: a committed accepted set is a
@@ -118,8 +132,8 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 /// writes. The *composed rule set* memo (CheapRuleKey/RuleSetKey below)
 /// catches candidates whose bodies differ structurally but compose to
 /// α-isomorphic rule sets. Hard errors are never memoized at either level:
-/// an error must re-run so it surfaces with exactly the bytes the
-/// sequential path would have produced.
+/// an error must re-run so it surfaces with exactly the bytes an unmemoized
+/// verification of that candidate produces.
 struct ShapeOut {
   std::string shape;               // text with every variable as `?<sort>`
   std::vector<const Term*> vars;   // variable occurrences, traversal order
@@ -246,6 +260,13 @@ std::string RuleSetKey(const TslRuleSet& rules) {
   return out;
 }
 
+/// The verification pipeline. With one worker it builds no pool: each
+/// emitted candidate is verified inline as a batch of one and committed
+/// before the next is emitted, so dispatch-time dominance pruning sees
+/// exactly the accepted sets the plain reference loop (src/testing) sees,
+/// and no candidate it prunes is ever verified. With
+/// more workers, batches of kBatchSize go to a ThreadPool and commit
+/// catches up behind a bounded in-flight window.
 class Pipeline {
  public:
   Pipeline(const TslQuery& chased_query,
@@ -262,13 +283,20 @@ class Pipeline {
         head_(chased_query.head),
         name_prefix_(chased_query.name.empty() ? "rewriting"
                                                : chased_query.name),
-        max_pending_(workers * kBatchSize * 4) {
+        batch_size_(workers > 1 ? kBatchSize : 1),
+        max_pending_(workers * batch_size_ * 4) {
     InternAtoms(atoms);
+    if (options.metrics != nullptr) {
+      chase_us_ = options.metrics->GetHistogram("rewrite.phase.chase_us");
+      compose_us_ = options.metrics->GetHistogram("rewrite.phase.compose_us");
+      equiv_us_ = options.metrics->GetHistogram("rewrite.phase.equiv_us");
+    }
     contexts_.reserve(workers);
     for (size_t i = 0; i < workers; ++i) {
       contexts_.push_back(std::make_unique<Ctx>(tester));
       free_contexts_.push_back(i);
     }
+    if (workers <= 1) return;  // inline: Flush verifies on this thread
     ThreadPool::Options pool;
     pool.threads = workers;
     // The producer's in-flight bound keeps the depth below this; the slack
@@ -337,9 +365,13 @@ class Pipeline {
         batch_.push_back(WorkItem{candidate, p.slot, std::move(alpha_key)});
       }
       body_slots_.emplace(std::move(body_key), p.slot);
-      if (batch_.size() >= kBatchSize) Flush(lock);
+      if (batch_.size() >= batch_size_) Flush(lock);
     }
     pending_.push_back(std::move(p));
+    // Inline, the slot is already done: commit it now, so the next
+    // candidate's dominance check and a hard error's early stop happen
+    // exactly where the reference loop has them.
+    CommitReady();
 
     // Bounded in-flight window: block — committing whatever lands — rather
     // than let enumeration outrun the commit frontier without limit.
@@ -367,7 +399,7 @@ class Pipeline {
     }
     // Drains work items stranded behind a hard error; their outcomes are
     // never committed.
-    pool_->Shutdown();
+    if (pool_ != nullptr) pool_->Shutdown();
     result_->chase_cache_hits += chase_hits_.load();
     result_->equiv_cache_hits += equiv_hits_.load();
     return failed_ ? failure_ : Status::OK();
@@ -498,8 +530,8 @@ class Pipeline {
     candidate_memo_.emplace(alpha_key, outcome);
   }
 
-  /// Commits every ready in-order outcome. Mirrors the sequential loop
-  /// body in rewriter.cc, decision for decision. Caller holds mu_.
+  /// Commits every ready in-order outcome: dominance, then the slot's
+  /// stage, in enumeration order. Caller holds mu_.
   void CommitReady() {
     while (!failed_ && !pending_.empty() && pending_.front().slot->done) {
       Pending p = std::move(pending_.front());
@@ -539,21 +571,22 @@ class Pipeline {
     }
   }
 
-  /// Hands the current batch to the pool. Caller holds mu_ (released only
-  /// around an inline fallback run).
+  /// Hands the current batch to the pool, or verifies it on this thread
+  /// when there is no pool or the pool is saturated. Outcomes are outcomes
+  /// wherever they are computed; commit order is unaffected. Caller holds
+  /// mu_ (released only around an inline run).
   void Flush(std::unique_lock<std::mutex>& lock) {
     if (batch_.empty()) return;
     auto batch = std::make_shared<std::vector<WorkItem>>(std::move(batch_));
     batch_.clear();
-    ++result_->batches_dispatched;
-    Status submitted = pool_->TrySubmit([this, batch] { RunBatch(*batch); });
-    if (!submitted.ok()) {
-      // Pool saturated: verify inline. Outcomes are outcomes wherever they
-      // are computed; commit order is unaffected.
-      lock.unlock();
-      RunBatch(*batch);
-      lock.lock();
+    if (pool_ != nullptr &&
+        pool_->TrySubmit([this, batch] { RunBatch(*batch); }).ok()) {
+      ++result_->batches_dispatched;
+      return;
     }
+    lock.unlock();
+    RunBatch(*batch);
+    lock.lock();
   }
 
   void RunBatch(std::vector<WorkItem>& batch) {
@@ -565,8 +598,8 @@ class Pipeline {
         free_contexts_.pop_back();
       }
     }
-    // Only an inline-fallback run can find every context taken; it clones
-    // a fresh one rather than sharing.
+    // Only a saturated-pool fallback run can find every context taken; it
+    // clones a fresh one rather than sharing.
     std::unique_ptr<Ctx> local;
     if (ctx_index == SIZE_MAX) local = std::make_unique<Ctx>(tester_);
     Ctx& ctx = local ? *local : *contexts_[ctx_index];
@@ -594,8 +627,10 @@ class Pipeline {
   }
 
   /// Chase + compose + equivalence for one candidate, through the memos.
-  /// Hard-error Statuses are never cached: an error must surface with the
-  /// exact message the sequential path would have produced for that seq.
+  /// Each step that actually runs is timed into its rewrite.phase.*_us
+  /// histogram; a memo hit observes nothing. Hard-error Statuses are never
+  /// cached: an error must surface with the exact message an unmemoized
+  /// verification of this candidate produces.
   Slot Verify(const TslQuery& candidate,
               const std::vector<uint32_t>& alpha_key, Ctx& ctx) {
     Slot out;
@@ -629,7 +664,9 @@ class Pipeline {
       }
     }
     if (!have_entry) {
+      const auto start = SteadyClock::now();
       Result<TslQuery> fresh = ChaseQuery(candidate, chase_options_);
+      ObserveSince(chase_us_, start);
       if (fresh.ok()) {
         chased = std::make_shared<const TslQuery>(std::move(fresh).value());
       } else if (fresh.status().IsUnsatisfiable()) {
@@ -652,8 +689,10 @@ class Pipeline {
     }
 
     // Step 2 through the per-worker compose cache and the verdict memo.
+    auto start = SteadyClock::now();
     Result<TslRuleSet> composed =
         ComposeWithViews(*chased, views_, &ctx.compose);
+    ObserveSince(compose_us_, start);
     if (!composed.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = composed.status();
@@ -671,7 +710,9 @@ class Pipeline {
         return out;
       }
     }
+    start = SteadyClock::now();
     Result<bool> equivalent = ctx.tester.EquivalentTo(*composed);
+    ObserveSince(equiv_us_, start);
     if (!equivalent.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = equivalent.status();
@@ -699,7 +740,12 @@ class Pipeline {
   RewriteResult* result_;
   const ObjectPattern head_;
   const std::string name_prefix_;
+  const size_t batch_size_;
   const size_t max_pending_;
+  // Phase timings (lock-free); null without a metric registry.
+  Histogram* chase_us_ = nullptr;
+  Histogram* compose_us_ = nullptr;
+  Histogram* equiv_us_ = nullptr;
 
   // Producer/commit state; guarded by mu_ (slot_ready_ signals new done
   // slots). `result_` and `accepted_` are written by the producer thread
@@ -740,19 +786,19 @@ class Pipeline {
   std::vector<std::unique_ptr<Ctx>> contexts_;
   std::vector<size_t> free_contexts_;
 
-  std::unique_ptr<ThreadPool> pool_;  // last: joins before members die
+  // Null when verifying inline. Last: joins before members die.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace
 
-Status VerifyCandidatesInParallel(const TslQuery& chased_query,
-                                  const std::vector<TslQuery>& chased_views,
-                                  const ChaseOptions& chase_options,
-                                  const EquivalenceTester& tester,
-                                  const CandidateEnumerator& enumerator,
-                                  const RewriteOptions& options,
-                                  size_t workers, RewriteResult* result,
-                                  bool* complete) {
+Status VerifyCandidates(const TslQuery& chased_query,
+                        const std::vector<TslQuery>& chased_views,
+                        const ChaseOptions& chase_options,
+                        const EquivalenceTester& tester,
+                        const CandidateEnumerator& enumerator,
+                        const RewriteOptions& options, size_t workers,
+                        RewriteResult* result, bool* complete) {
   Pipeline pipeline(chased_query, chased_views, enumerator.atoms(),
                     chase_options, tester, options, workers, result);
   *complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {

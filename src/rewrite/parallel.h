@@ -13,38 +13,43 @@
 
 namespace tslrw {
 
-/// \brief Steps 1B–2 of RewriteQuery on a worker pool (docs/PARALLELISM.md).
+/// \brief Steps 1B–2 of RewriteQuery: the one candidate-verification path
+/// (docs/PARALLELISM.md).
 ///
 /// The enumeration stays on the calling thread and is a cheap producer:
-/// each emitted atom subset becomes a named candidate that is batched into
-/// a bounded work queue. Workers run the expensive per-candidate work —
-/// chase (Step 1C), composition (Step 2A), and the \S4 equivalence test —
-/// each with its own EquivalenceTester clone and ComposeCache, sharing
-/// α-invariant memos (the whole verification outcome by a cheap α-sound
-/// fingerprint of the candidate body, the chase by canonical candidate
-/// body under constraints, and the verdict by a fingerprint of the
-/// composed rule set) plus a dedupe of byte-identical candidate bodies.
-/// Outcomes are committed strictly in enumeration order by
-/// replaying the sequential loop's decisions, so `result` (rewritings,
-/// candidates_generated/tested, truncation) and any returned hard-error
-/// Status are byte-identical to the `parallelism = 1` path.
+/// each emitted atom subset becomes a named candidate. Verification — chase
+/// (Step 1C), composition (Step 2A), and the \S4 equivalence test — runs
+/// through α-invariant memos (the whole verification outcome by a cheap
+/// α-sound fingerprint of the candidate body, the chase by canonical
+/// candidate body under constraints, and the verdict by a fingerprint of
+/// the composed rule set) plus a dedupe of byte-identical candidate bodies.
+/// With `workers == 1` each candidate is verified inline and committed
+/// before the next is emitted; no thread pool is built. With more, batches
+/// go to a worker pool, each worker with its own EquivalenceTester clone
+/// and ComposeCache. Outcomes are committed strictly in enumeration order,
+/// so `result` (rewritings, candidates_generated/tested, truncation) and
+/// any returned hard-error Status are byte-identical at every worker count
+/// — and to the plain unmemoized reference in src/testing.
+///
+/// When `options.metrics` is set, every chase, composition, and \S4 test
+/// that actually runs (not a memo hit) is timed into the
+/// `rewrite.phase.{chase,compose,equiv}_us` histograms.
 ///
 /// \param enumerator the Step 1B enumerator (already holding the atoms).
-/// \param workers worker-thread count; callers pass a resolved value >= 2.
-/// \param result receives counters and rewritings, exactly as the
-///        sequential loop would have filled them.
+/// \param workers resolved worker count, >= 1; 1 verifies inline.
+/// \param result receives counters and rewritings; `batches_dispatched`
+///        counts pool submissions, so it stays 0 inline.
 /// \param complete receives CandidateEnumerator::Enumerate's completion
 ///        flag (false when max_candidates/should_stop cut the search or a
 ///        hard error stopped it), for the caller's `truncated` computation.
 /// \return the first hard error in enumeration order, or OK.
-Status VerifyCandidatesInParallel(const TslQuery& chased_query,
-                                  const std::vector<TslQuery>& chased_views,
-                                  const ChaseOptions& chase_options,
-                                  const EquivalenceTester& tester,
-                                  const CandidateEnumerator& enumerator,
-                                  const RewriteOptions& options,
-                                  size_t workers, RewriteResult* result,
-                                  bool* complete);
+Status VerifyCandidates(const TslQuery& chased_query,
+                        const std::vector<TslQuery>& chased_views,
+                        const ChaseOptions& chase_options,
+                        const EquivalenceTester& tester,
+                        const CandidateEnumerator& enumerator,
+                        const RewriteOptions& options, size_t workers,
+                        RewriteResult* result, bool* complete);
 
 }  // namespace tslrw
 

@@ -71,13 +71,13 @@ struct RewriteOptions {
   bool strict_limits = false;
 
   /// Worker threads for candidate verification (chase + compose + \S4
-  /// equivalence test). `0` means hardware concurrency; `1` is the exact
-  /// legacy sequential path (no worker pool, no memo caches). Any resolved
-  /// value > 1 runs the parallel pipeline of docs/PARALLELISM.md:
-  /// enumeration stays on the calling thread, verification fans out over a
-  /// worker pool with per-candidate memoization, and results commit in
-  /// enumeration order — rewritings, legacy counters, truncation flag, and
-  /// error statuses are byte-identical to `parallelism = 1`.
+  /// equivalence test). `0` means hardware concurrency. Every value runs
+  /// the same memoized pipeline of docs/PARALLELISM.md; this knob only
+  /// chooses where verification runs: `1` verifies each candidate inline
+  /// on the calling thread (no worker pool), any resolved value > 1 fans
+  /// batches out over a worker pool. Results commit in enumeration order,
+  /// so rewritings, counters, truncation flag, and error statuses are
+  /// byte-identical at every value.
   size_t parallelism = 0;
 
   /// Optional span tree for this call (docs/OBSERVABILITY.md). Spans are
@@ -107,10 +107,10 @@ struct RewriteResult {
   size_t candidates_tested = 0;
   bool truncated = false;
 
-  /// Shared-work diagnostics from the parallel verification pipeline; all
-  /// zero on the `parallelism = 1` path. Unlike the counters above these
-  /// depend on worker scheduling (two racing workers may both miss a memo),
-  /// so they are reported, not replayed, by the determinism guarantee.
+  /// Shared-work diagnostics from the verification pipeline's memos.
+  /// Unlike the counters above these depend on worker scheduling (two
+  /// racing workers may both miss a memo), so they are reported, not
+  /// replayed, by the determinism guarantee.
   ///
   /// Candidates whose chase outcome was answered by a memo: either the
   /// candidate-level α-memo replayed a chase-unsatisfiable outcome, or —
@@ -126,9 +126,9 @@ struct RewriteResult {
   /// memo keyed on the fingerprint of the composed rule set. Equal keys
   /// imply equal verdicts; see docs/PARALLELISM.md.
   size_t equiv_cache_hits = 0;
-  /// Work batches handed to the worker pool.
+  /// Work batches handed to the worker pool; 0 when verifying inline.
   size_t batches_dispatched = 0;
-  /// Wall-clock microseconds spent verifying candidates (both paths).
+  /// Wall-clock microseconds spent verifying candidates.
   uint64_t verify_wall_ticks = 0;
 
   /// Dependency-footprint facts for the maintenance layer (src/maint; see
@@ -142,7 +142,7 @@ struct RewriteResult {
   std::set<std::string> views_touched;
   /// Stable keys (chase.h) of the constraint rules that fired while chasing
   /// the *inputs* (query and views). Candidate-chase firings are excluded —
-  /// they are scheduling-dependent under the parallel pipeline — so this is
+  /// they are scheduling-dependent under a worker pool — so this is
   /// observability data, not a sound constraint footprint; the maintenance
   /// layer flushes on any constraints delta regardless.
   std::set<std::string> fired_constraints;

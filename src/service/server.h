@@ -72,8 +72,9 @@ struct ServerOptions {
   bool strict = false;
   /// Verification workers inside each cold plan search and each failover
   /// re-plan (RewriteOptions::parallelism semantics: 0 = hardware
-  /// concurrency, 1 = sequential). Cached plans are byte-identical for
-  /// every value, so this only changes cold-miss latency.
+  /// concurrency, 1 = inline on the request thread). Cached plans are
+  /// byte-identical for every value, so this only changes cold-miss
+  /// latency.
   size_t rewrite_parallelism = 0;
   /// Optional server-wide metric sink (not owned; must outlive the
   /// server): thread-pool admission, per-request outcomes, plan-cache

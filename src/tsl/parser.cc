@@ -10,13 +10,28 @@ namespace tslrw {
 
 namespace {
 
+/// How deep object patterns and function terms may nest, counted together.
+/// The parser and every pass over the AST recurse once per level, so an
+/// unbounded depth would let a short input exhaust the stack; real rules
+/// nest a handful of levels.
+constexpr int kMaxNestingDepth = 512;
+
+/// Fails with a positioned ParseError once \p depth exceeds the bound.
+Status CheckDepth(const TokenCursor& cur, int depth) {
+  if (depth <= kMaxNestingDepth) return Status::OK();
+  return cur.ErrorHere(StrCat("patterns and terms nest deeper than ",
+                              kMaxNestingDepth, " levels"));
+}
+
 bool LooksLikeVariable(const std::string& ident) {
   return !ident.empty() && std::isupper(static_cast<unsigned char>(ident[0]));
 }
 
 /// Parses a term; all variables provisionally get VarKind::kLabelValue and
 /// are re-sorted by ResolveVariableKinds once the whole rule is known.
-Result<Term> ParseTerm(TokenCursor* cur) {
+/// \p depth is the nesting level of this term (1 at the top).
+Result<Term> ParseTerm(TokenCursor* cur, int depth) {
+  TSLRW_RETURN_NOT_OK(CheckDepth(*cur, depth));
   const Token& tok = cur->Peek();
   if (tok.kind == TokenKind::kString) {
     return Term::MakeAtom(cur->Next().text);
@@ -29,7 +44,7 @@ Result<Term> ParseTerm(TokenCursor* cur) {
     std::vector<Term> args;
     if (!cur->TryConsume(TokenKind::kRParen)) {
       while (true) {
-        TSLRW_ASSIGN_OR_RETURN(Term arg, ParseTerm(cur));
+        TSLRW_ASSIGN_OR_RETURN(Term arg, ParseTerm(cur, depth + 1));
         args.push_back(std::move(arg));
         if (cur->TryConsume(TokenKind::kComma)) continue;
         TSLRW_RETURN_NOT_OK(cur->Expect(TokenKind::kRParen).status());
@@ -44,11 +59,13 @@ Result<Term> ParseTerm(TokenCursor* cur) {
   return Term::MakeAtom(std::move(head));
 }
 
-Result<ObjectPattern> ParsePattern(TokenCursor* cur, int* anon_labels) {
+Result<ObjectPattern> ParsePattern(TokenCursor* cur, int* anon_labels,
+                                   int depth) {
+  TSLRW_RETURN_NOT_OK(CheckDepth(*cur, depth));
   TSLRW_ASSIGN_OR_RETURN(Token langle, cur->Expect(TokenKind::kLAngle));
   ObjectPattern pattern;
   pattern.span = SourceSpan{langle.line, langle.column};
-  TSLRW_ASSIGN_OR_RETURN(pattern.oid, ParseTerm(cur));
+  TSLRW_ASSIGN_OR_RETURN(pattern.oid, ParseTerm(cur, depth + 1));
   // Label position: `*` (any label), `**` (descendant), `label+` (closure),
   // or a plain term. The starred forms are the \S7 regular-path-expression
   // extension.
@@ -62,7 +79,7 @@ Result<ObjectPattern> ParsePattern(TokenCursor* cur, int* anon_labels) {
     }
   } else {
     Token label_tok = cur->Peek();
-    TSLRW_ASSIGN_OR_RETURN(pattern.label, ParseTerm(cur));
+    TSLRW_ASSIGN_OR_RETURN(pattern.label, ParseTerm(cur, depth + 1));
     if (pattern.label.is_func()) {
       return ErrorAtToken(label_tok, "a label must be an atom or a variable");
     }
@@ -77,12 +94,12 @@ Result<ObjectPattern> ParsePattern(TokenCursor* cur, int* anon_labels) {
     SetPattern members;
     while (!cur->TryConsume(TokenKind::kRBrace)) {
       TSLRW_ASSIGN_OR_RETURN(ObjectPattern member,
-                             ParsePattern(cur, anon_labels));
+                             ParsePattern(cur, anon_labels, depth + 1));
       members.push_back(std::move(member));
     }
     pattern.value = PatternValue::FromSet(std::move(members));
   } else {
-    TSLRW_ASSIGN_OR_RETURN(Term value, ParseTerm(cur));
+    TSLRW_ASSIGN_OR_RETURN(Term value, ParseTerm(cur, depth + 1));
     pattern.value = PatternValue::FromTerm(std::move(value));
   }
   TSLRW_RETURN_NOT_OK(cur->Expect(TokenKind::kRAngle).status());
@@ -102,11 +119,11 @@ Result<TslQuery> ParseRule(TokenCursor* cur, std::string name) {
   query.name = std::move(name);
   query.span = rule_span;
   int anon_labels = 0;
-  TSLRW_ASSIGN_OR_RETURN(query.head, ParsePattern(cur, &anon_labels));
+  TSLRW_ASSIGN_OR_RETURN(query.head, ParsePattern(cur, &anon_labels, 1));
   TSLRW_RETURN_NOT_OK(cur->Expect(TokenKind::kTurnstile).status());
   while (true) {
     Condition cond;
-    TSLRW_ASSIGN_OR_RETURN(cond.pattern, ParsePattern(cur, &anon_labels));
+    TSLRW_ASSIGN_OR_RETURN(cond.pattern, ParsePattern(cur, &anon_labels, 1));
     if (cur->TryConsume(TokenKind::kAt)) {
       TSLRW_ASSIGN_OR_RETURN(Token src, cur->Expect(TokenKind::kIdent));
       cond.source = src.text;

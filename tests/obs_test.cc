@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "oem/parser.h"
+#include "rewrite/rewriter.h"
 #include "service/server.h"
 #include "tsl/parser.h"
 
@@ -304,6 +305,44 @@ TEST(ObsIntegrationTest, MediatorTraceShowsRetriesFaultsAndFailover) {
   EXPECT_EQ(metrics.GetCounter("mediator.retries")->value(), 2u);
   EXPECT_EQ(metrics.GetCounter("mediator.fetch_attempts")->value(), 3u);
   EXPECT_EQ(metrics.GetCounter("mediator.answers_complete")->value(), 1u);
+}
+
+TEST(ObsIntegrationTest, RewritePhaseHistogramsFillOnAWorkerPool) {
+  // The k=5 per-arm star (CL-EXP-CAND shape) on a 4-worker pool: every
+  // chase, composition, and \S4 test that actually runs is timed, and a
+  // memo hit times nothing — so the equiv histogram plus the memo's
+  // verdict hits account for every tested candidate exactly.
+  std::vector<std::string> arms;
+  std::vector<TslQuery> views;
+  for (int i = 0; i < 5; ++i) {
+    arms.push_back(StrCat("<P rec {<X", i, " l", i, " u", i, ">}>@db"));
+    std::string view = StrCat("<v", i, "(P') o", i, " {<w", i, "(X') m U'>}>",
+                              " :- <P' rec {<X' l", i, " U'>}>@db");
+    views.push_back(ParseTslQuery(view, StrCat("V", i)).ValueOrDie());
+  }
+  std::string body = Join(arms, " AND ");
+  TslQuery query =
+      ParseTslQuery(StrCat("<f(P) out yes> :- ", body), "Q").ValueOrDie();
+  MetricRegistry metrics;
+  RewriteOptions options;
+  options.prune_dominated = false;
+  options.parallelism = 4;
+  options.metrics = &metrics;
+  auto result = RewriteQuery(query, views, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->candidates_tested, 31u);
+
+  auto samples = [&metrics](const char* name) {
+    return metrics.GetHistogram(name)->count();
+  };
+  const uint64_t chase = samples("rewrite.phase.chase_us");
+  const uint64_t compose = samples("rewrite.phase.compose_us");
+  const uint64_t equiv = samples("rewrite.phase.equiv_us");
+  EXPECT_GE(equiv, 1u);
+  EXPECT_GE(compose, equiv);
+  EXPECT_GE(chase, compose);
+  EXPECT_EQ(equiv + result->equiv_cache_hits, result->candidates_tested);
+  EXPECT_LT(equiv, result->candidates_tested);  // the memo did share work
 }
 
 TEST(ObsIntegrationTest, ServerCountersStayConsistentUnderLoad) {

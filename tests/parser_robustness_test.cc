@@ -129,6 +129,42 @@ TEST(ParserRobustnessTest, PathologicalInputs) {
   EXPECT_TRUE(deep.ok()) << deep.status();
 }
 
+TEST(ParserRobustnessTest, NestingDepthIsBoundedWithAPositionedError) {
+  // Regression: a balanced pattern nested 20 000 deep used to overflow the
+  // stack (the analyzer CLI died with SIGSEGV). Patterns and function terms
+  // now share one nesting bound and fail with a line:column ParseError.
+  constexpr int kDepth = 20000;
+  std::string open;
+  std::string close;
+  for (int d = 1; d <= kDepth; ++d) {
+    open += "{<X" + std::to_string(d) + " a ";
+    close += ">}";
+  }
+  auto deep_pattern =
+      ParseTslQuery("<f(P) out yes> :-\n  <P a " + open + "V" + close + ">@s");
+  ASSERT_FALSE(deep_pattern.ok());
+  EXPECT_TRUE(deep_pattern.status().IsParseError()) << deep_pattern.status();
+  EXPECT_NE(deep_pattern.status().message().find("2:"), std::string::npos)
+      << deep_pattern.status();
+  EXPECT_NE(deep_pattern.status().message().find("nest deeper"),
+            std::string::npos)
+      << deep_pattern.status();
+
+  std::string term;
+  for (int d = 0; d < kDepth; ++d) term += "f(";
+  term += "x" + std::string(kDepth, ')');
+  auto deep_term = ParseTslQuery("<" + term + " out yes> :- <P a V>@s");
+  ASSERT_FALSE(deep_term.ok());
+  EXPECT_TRUE(deep_term.status().IsParseError()) << deep_term.status();
+  EXPECT_NE(deep_term.status().message().find("1:"), std::string::npos)
+      << deep_term.status();
+  EXPECT_NE(deep_term.status().message().find("nest deeper"), std::string::npos)
+      << deep_term.status();
+
+  // Programs go through the same parser.
+  EXPECT_FALSE(ParseTslProgram("<" + term + " out yes> :- <P a V>@s").ok());
+}
+
 TEST(ParserRobustnessTest, ParseErrorsCarrySourcePositions) {
   auto truncated = ParseTslQuery("<f(P out");
   ASSERT_FALSE(truncated.ok());
