@@ -89,10 +89,9 @@ int main() {
     IrPassOptions passes;
   };
   const Config configs[] = {
-      {"none", {false, false, false}},
-      {"hoist", {true, false, false}},
-      {"hoist+cse", {true, true, false}},
-      {"all", {true, true, true}},
+      {"none", {false, false}},
+      {"hoist", {true, false}},
+      {"hoist+cse", {true, true}},
   };
   for (const Config& config : configs) {
     PlanCompiler compiler(config.passes);
@@ -119,18 +118,12 @@ int main() {
                     ir_answer.ToString() == tree_answer.ToString() &&
                     ir_answer.name() == tree_answer.name();
   }
-  // Then end to end: the cheapest capability plan executed through the
-  // mediator with each backend.
-  ExecutionPolicy tree_policy;
-  OemDatabase plan_tree =
-      Must(mediator.Execute(plans.front(), catalog, tree_policy, nullptr));
-  ExecutionPolicy ir_policy;
-  ir_policy.backend = ExecutionBackend::kIR;
-  OemDatabase plan_ir =
-      Must(mediator.Execute(plans.front(), catalog, ir_policy, nullptr));
-  all_identical =
-      all_identical && plan_ir.ToString() == plan_tree.ToString() &&
-      plan_ir.name() == plan_tree.name();
+  // Then end to end: the mediator's answer, which runs the compiled plan
+  // over the fetched view results, against the query evaluated directly.
+  DegradedAnswer served = Must(mediator.Answer(query, catalog));
+  all_identical = all_identical && served.complete() &&
+                  served.result.ToString() == tree_answer.ToString() &&
+                  served.result.name() == tree_answer.name();
 
   std::printf("\ntree vs IR byte-identical: %s\n%s",
               all_identical ? "yes" : "NO (bug!)",

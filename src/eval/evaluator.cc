@@ -52,35 +52,6 @@ Result<Term> GroundTerm(const Term& t, const Assignment& theta) {
   return Status::Internal("unreachable term kind");
 }
 
-/// Copies the object \p oid and everything reachable from it out of \p src
-/// into \p answer (the \S2 copy semantics for subgraph bindings).
-Status CopySubgraph(const OemDatabase& src, const Oid& oid,
-                    OemDatabase* answer) {
-  std::deque<Oid> work{oid};
-  std::set<Oid> seen;
-  while (!work.empty()) {
-    Oid cur = work.front();
-    work.pop_front();
-    if (!seen.insert(cur).second) continue;
-    const OemObject* obj = src.Find(cur);
-    if (obj == nullptr) {
-      return Status::Internal(
-          StrCat("source object ", cur.ToString(), " vanished during copy"));
-    }
-    if (obj->is_atomic()) {
-      TSLRW_RETURN_NOT_OK(
-          AsFusion(answer->PutAtomic(cur, obj->label, obj->value.atom())));
-    } else {
-      TSLRW_RETURN_NOT_OK(AsFusion(answer->PutSet(cur, obj->label)));
-      for (const Oid& c : obj->value.children()) {
-        TSLRW_RETURN_NOT_OK(answer->AddEdge(cur, c));
-        work.push_back(c);
-      }
-    }
-  }
-  return Status::OK();
-}
-
 /// Instantiates one head object pattern under θ; returns the created oid.
 Result<Oid> BuildObject(const ObjectPattern& pattern, const Assignment& theta,
                         OemDatabase* answer) {
@@ -157,6 +128,33 @@ Status EvaluateInto(const TslQuery& query, const SourceCatalog& catalog,
 }
 
 }  // namespace
+
+Status CopySubgraph(const OemDatabase& src, const Oid& oid,
+                    OemDatabase* answer) {
+  std::deque<Oid> work{oid};
+  std::set<Oid> seen;
+  while (!work.empty()) {
+    Oid cur = work.front();
+    work.pop_front();
+    if (!seen.insert(cur).second) continue;
+    const OemObject* obj = src.Find(cur);
+    if (obj == nullptr) {
+      return Status::Internal(
+          StrCat("source object ", cur.ToString(), " vanished during copy"));
+    }
+    if (obj->is_atomic()) {
+      TSLRW_RETURN_NOT_OK(
+          AsFusion(answer->PutAtomic(cur, obj->label, obj->value.atom())));
+    } else {
+      TSLRW_RETURN_NOT_OK(AsFusion(answer->PutSet(cur, obj->label)));
+      for (const Oid& c : obj->value.children()) {
+        TSLRW_RETURN_NOT_OK(answer->AddEdge(cur, c));
+        work.push_back(c);
+      }
+    }
+  }
+  return Status::OK();
+}
 
 Result<OemDatabase> Evaluate(const TslQuery& query,
                              const SourceCatalog& catalog,

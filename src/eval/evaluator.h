@@ -56,6 +56,13 @@ Result<OemDatabase> MaterializeView(const TslQuery& view,
                                     const SourceCatalog& catalog,
                                     const EvalOptions& options = {});
 
+/// \brief Copies the object \p oid and everything reachable from it out of
+/// \p src into \p answer (the \S2 copy semantics for subgraph bindings).
+/// Conflicting atomic content fails with FusionConflict. The IR interpreter
+/// builds answers through this too, so both executors copy identically.
+Status CopySubgraph(const OemDatabase& src, const Oid& oid,
+                    OemDatabase* answer);
+
 }  // namespace tslrw
 
 #endif  // TSLRW_EVAL_EVALUATOR_H_

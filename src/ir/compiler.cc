@@ -14,14 +14,12 @@ namespace tslrw {
 
 namespace {
 
-IrOp Op(IrOpCode code, int32_t a = -1, int32_t b = -1, int32_t c = -1,
-        int32_t d = 0) {
+IrOp Op(IrOpCode code, int32_t a = -1, int32_t b = -1, int32_t c = -1) {
   IrOp op;
   op.code = code;
   op.a = a;
   op.b = b;
   op.c = c;
-  op.d = d;
   return op;
 }
 

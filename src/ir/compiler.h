@@ -27,10 +27,6 @@ struct IrPassOptions {
   /// conditions, member rules, and plans, so shared subplans are matched
   /// once per execution. Requires hoisting.
   bool common_subplan_elimination = true;
-  /// Arm the per-answer subgraph-copy memo on emit: a (database, oid)
-  /// subgraph already copied into the answer is not re-walked. Sound
-  /// because CopySubgraph is deterministic and fusion is idempotent.
-  bool copy_elision = true;
 };
 
 /// \brief Lowers TSL rules — a single query, a rule set, or a rewritten

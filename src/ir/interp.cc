@@ -1,7 +1,6 @@
 #include "ir/interp.h"
 
 #include <chrono>
-#include <deque>
 #include <functional>
 #include <map>
 #include <set>
@@ -9,6 +8,7 @@
 
 #include "common/string_util.h"
 #include "eval/binding.h"
+#include "eval/evaluator.h"
 #include "eval/matcher.h"
 
 namespace tslrw {
@@ -53,11 +53,6 @@ struct Choice {
   }
 };
 
-/// Subgraph-copy memo of one answer database: (source database, oid) pairs
-/// already copied in full. Doubles as the BFS seen set when the
-/// copy-elision pass armed a head (IrOp::d).
-using CopyMemo = std::set<std::pair<const OemDatabase*, Oid>>;
-
 /// \brief One execution of a program: lazily resolved sources, per-pc root
 /// candidate caches, and materialized unit rows — all shared across the
 /// program's segments, which is the compiled backend's leverage on plan
@@ -75,17 +70,19 @@ class Interp {
 
   /// Enumerates the segment's rows (sorted, deduplicated — the tree
   /// walker's final std::set<Assignment>) and runs the emit region once per
-  /// row, in order, aborting on the first error exactly like EvaluateInto.
-  Status RunSegment(const IrSegment& seg, OemDatabase* answer,
-                    CopyMemo* memo) {
+  /// row, in order, aborting on the first error exactly like EvaluateInto,
+  /// whose eval.* metrics it reports too.
+  Status RunSegment(const IrSegment& seg, OemDatabase* answer) {
+    CountIf(options_.metrics, "eval.rules");
     std::set<Row> rows;
     TSLRW_RETURN_NOT_OK(RunMatch(seg.match_begin, seg.match_end,
                                  seg.frame_size, seg.slot_count,
                                  [&rows](const Row& r) { rows.insert(r); }));
-    ObserveIf(options_.metrics, "ir.rows", rows.size());
+    ObserveIf(options_.metrics, "eval.assignments", rows.size());
     for (const Row& row : rows) {
-      TSLRW_RETURN_NOT_OK(RunEmit(seg, row, answer, memo));
+      TSLRW_RETURN_NOT_OK(RunEmit(seg, row, answer));
     }
+    CountIf(options_.metrics, "eval.roots_emitted", rows.size());
     return Status::OK();
   }
 
@@ -395,46 +392,10 @@ class Interp {
     return Status::Internal("unreachable term kind");
   }
 
-  /// CopySubgraph with an optional cross-call memo. Without a memo this is
-  /// the tree walker's BFS verbatim. With one, subgraphs already copied
-  /// into this answer are skipped: a re-walk would replay byte-identical
-  /// Put/AddEdge calls (sources are immutable during execution and fusion
-  /// is idempotent), so eliding it changes nothing observable.
-  Status CopySubgraphIr(const OemDatabase& src, const Oid& oid,
-                        OemDatabase* answer, CopyMemo* memo) {
-    std::deque<Oid> work{oid};
-    std::set<Oid> local;
-    auto first_visit = [&](const Oid& cur) {
-      if (memo != nullptr) return memo->insert({&src, cur}).second;
-      return local.insert(cur).second;
-    };
-    while (!work.empty()) {
-      Oid cur = work.front();
-      work.pop_front();
-      if (!first_visit(cur)) continue;
-      const OemObject* obj = src.Find(cur);
-      if (obj == nullptr) {
-        return Status::Internal(StrCat("source object ", cur.ToString(),
-                                       " vanished during copy"));
-      }
-      if (obj->is_atomic()) {
-        TSLRW_RETURN_NOT_OK(
-            AsFusion(answer->PutAtomic(cur, obj->label, obj->value.atom())));
-      } else {
-        TSLRW_RETURN_NOT_OK(AsFusion(answer->PutSet(cur, obj->label)));
-        for (const Oid& c : obj->value.children()) {
-          TSLRW_RETURN_NOT_OK(answer->AddEdge(cur, c));
-          work.push_back(c);
-        }
-      }
-    }
-    return Status::OK();
-  }
-
   /// Instantiates one compiled head object under the row; mirrors eval's
   /// BuildObject shape and error order exactly.
   Result<Oid> BuildIrObject(int32_t head_idx, const Row& row,
-                            OemDatabase* answer, CopyMemo* memo) {
+                            OemDatabase* answer) {
     const CompiledHead& head = p_.heads[head_idx];
     TSLRW_ASSIGN_OR_RETURN(Term oid, GroundIrTerm(head.oid, row));
     TSLRW_ASSIGN_OR_RETURN(Term label_term, GroundIrTerm(head.label, row));
@@ -447,7 +408,7 @@ class Interp {
     if (head.is_set) {
       TSLRW_RETURN_NOT_OK(AsFusion(answer->PutSet(oid, label)));
       for (int32_t m : head.members) {
-        TSLRW_ASSIGN_OR_RETURN(Oid child, BuildIrObject(m, row, answer, memo));
+        TSLRW_ASSIGN_OR_RETURN(Oid child, BuildIrObject(m, row, answer));
         TSLRW_RETURN_NOT_OK(answer->AddEdge(oid, child));
       }
       return oid;
@@ -470,7 +431,7 @@ class Interp {
         }
         TSLRW_RETURN_NOT_OK(AsFusion(answer->PutSet(oid, label)));
         for (const Oid& c : owner->value.children()) {
-          TSLRW_RETURN_NOT_OK(CopySubgraphIr(src, c, answer, memo));
+          TSLRW_RETURN_NOT_OK(CopySubgraph(src, c, answer));
           TSLRW_RETURN_NOT_OK(answer->AddEdge(oid, c));
         }
         return oid;
@@ -490,17 +451,14 @@ class Interp {
   }
 
   /// Runs the emit region for one row: build the head, root it, branch out.
-  Status RunEmit(const IrSegment& seg, const Row& row, OemDatabase* answer,
-                 CopyMemo* memo) {
+  Status RunEmit(const IrSegment& seg, const Row& row, OemDatabase* answer) {
     int32_t pc = seg.emit_begin;
     Oid scratch;
     while (pc < seg.emit_end) {
       const IrOp& op = p_.ops[pc];
       switch (op.code) {
         case IrOpCode::kEmitHead: {
-          TSLRW_ASSIGN_OR_RETURN(
-              scratch,
-              BuildIrObject(op.a, row, answer, op.d != 0 ? memo : nullptr));
+          TSLRW_ASSIGN_OR_RETURN(scratch, BuildIrObject(op.a, row, answer));
           ++pc;
           break;
         }
@@ -537,9 +495,8 @@ Result<OemDatabase> ExecuteIr(const IrProgram& program,
   OemDatabase answer(options.answer_name.empty() ? program.default_name
                                                  : options.answer_name);
   Interp interp(program, catalog, options);
-  CopyMemo memo;
   for (const IrSegment& seg : program.segments) {
-    TSLRW_RETURN_NOT_OK(interp.RunSegment(seg, &answer, &memo));
+    TSLRW_RETURN_NOT_OK(interp.RunSegment(seg, &answer));
   }
   CountIf(options.metrics, "ir.execs");
   ObserveIf(options.metrics, "ir.exec_wall_us",
@@ -560,8 +517,7 @@ Result<std::vector<OemDatabase>> ExecuteIrPerSegment(
   for (const IrSegment& seg : program.segments) {
     OemDatabase answer(options.answer_name.empty() ? seg.rule_name
                                                    : options.answer_name);
-    CopyMemo memo;  // the memo is per answer database
-    TSLRW_RETURN_NOT_OK(interp.RunSegment(seg, &answer, &memo));
+    TSLRW_RETURN_NOT_OK(interp.RunSegment(seg, &answer));
     answers.push_back(std::move(answer));
   }
   CountIf(options.metrics, "ir.execs");

@@ -19,7 +19,9 @@ struct IrExecOptions {
   /// Name given to the answer database; defaults to the program's
   /// default_name (the front rule's name) — exactly Evaluate's rule.
   std::string answer_name;
-  /// ir.* execution metrics; null disables instrumentation.
+  /// ir.* execution metrics plus eval.rules / eval.assignments /
+  /// eval.roots_emitted per rule, as Evaluate reports them; null disables
+  /// instrumentation.
   MetricRegistry* metrics = nullptr;
 };
 

@@ -77,7 +77,7 @@ void RenderOps(const IrProgram& p, int32_t begin, int32_t end,
       case IrOpCode::kEmitUnitRow:
         break;
       case IrOpCode::kEmitHead:
-        StrAppend(out, " h", op.a, op.d != 0 ? " elide" : "");
+        StrAppend(out, " h", op.a);
         break;
       case IrOpCode::kFuseRoot:
         break;

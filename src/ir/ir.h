@@ -56,10 +56,9 @@ enum class IrOpCode : uint8_t {
   /// (kept as an ordered multiset; the segment's row set dedups later,
   /// exactly like the tree walker's final std::set<Assignment>).
   kEmitUnitRow,
-  /// a = compiled head index, d = 1 when the copy-elision pass enabled the
-  /// per-answer subgraph-copy memo for this head. Instantiates the head
-  /// pattern under the current row (fusing into the answer database) and
-  /// leaves the created root oid in the emit scratch register.
+  /// a = compiled head index. Instantiates the head pattern under the
+  /// current row (fusing into the answer database) and leaves the created
+  /// root oid in the emit scratch register.
   kEmitHead,
   /// Adds the emit scratch oid to the answer's roots.
   kFuseRoot,
@@ -69,13 +68,12 @@ enum class IrOpCode : uint8_t {
 };
 
 /// \brief A fixed-width flat op. Operand meaning depends on the opcode;
-/// unused operands are -1 (d defaults to 0: it carries pass flags).
+/// unused operands are -1.
 struct IrOp {
   IrOpCode code;
   int32_t a = -1;
   int32_t b = -1;
   int32_t c = -1;
-  int32_t d = 0;
 };
 
 /// \brief A body/head term compiled against a frame: variables carry their
@@ -161,7 +159,7 @@ struct IrPassStat {
   size_t ops_after = 0;
   size_t units_before = 0;
   size_t units_after = 0;
-  /// Free-form detail ("merged 120 units", "flagged 3 heads", "off").
+  /// Free-form detail ("merged 120 units", "off").
   std::string note;
 };
 

@@ -191,42 +191,6 @@ void CsePass(IrProgram* p, MetricRegistry* metrics) {
   CountIf(metrics, "ir.units_shared", merged);
 }
 
-/// True when instantiating \p head can reach the subgraph-copy path: some
-/// value position is a variable (only variables bind to set values).
-bool HeadMayCopySubgraph(const IrProgram& p, int32_t head_idx) {
-  const CompiledHead& h = p.heads[head_idx];
-  if (h.is_set) {
-    for (int32_t m : h.members) {
-      if (HeadMayCopySubgraph(p, m)) return true;
-    }
-    return false;
-  }
-  return p.terms[h.value].kind == TermKind::kVariable;
-}
-
-/// Pass 3: flag emit heads that can copy subgraphs to consult the
-/// per-answer (database, oid) memo. Re-copying an already-copied subgraph
-/// replays identical PutAtomic/PutSet/AddEdge calls (fusion is idempotent),
-/// so skipping the walk changes no answer bytes and no error behavior.
-void CopyElisionPass(IrProgram* p, MetricRegistry* metrics) {
-  IrPassStat stat;
-  stat.pass = "copy-elision";
-  stat.ops_before = p->ops.size();
-  stat.ops_after = p->ops.size();
-  stat.units_before = stat.units_after = p->units.size();
-  size_t flagged = 0;
-  for (IrOp& op : p->ops) {
-    if (op.code != IrOpCode::kEmitHead) continue;
-    if (HeadMayCopySubgraph(*p, op.a)) {
-      op.d = 1;
-      ++flagged;
-    }
-  }
-  stat.note = StrCat("flagged ", flagged, " head(s)");
-  p->pass_stats.push_back(std::move(stat));
-  CountIf(metrics, "ir.heads_elidable", flagged);
-}
-
 void RecordOff(IrProgram* p, const char* name, const char* why) {
   IrPassStat stat;
   stat.pass = name;
@@ -253,11 +217,6 @@ void RunIrPasses(const IrPassOptions& passes, IrProgram* program,
     CsePass(program, metrics);
   } else {
     RecordOff(program, "common-subplan-elim", "off");
-  }
-  if (passes.copy_elision) {
-    CopyElisionPass(program, metrics);
-  } else {
-    RecordOff(program, "copy-elision", "off");
   }
 }
 

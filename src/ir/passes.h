@@ -14,9 +14,7 @@ namespace tslrw {
 ///      materialized match unit plus one kJoinUnit op;
 ///   2. common-subplan-elimination — units with equal α-invariant condition
 ///      fingerprints merge, their dead bodies are swept, and every join's
-///      bindmap is remapped through the canonical column names;
-///   3. copy-elision — emit heads that can copy subgraphs are flagged to
-///      use the per-answer (database, oid) copy memo.
+///      bindmap is remapped through the canonical column names.
 ///
 /// Each pass appends an IrPassStat (disabled passes record a "off" entry),
 /// so dumps always show the full pipeline. Every configuration produces

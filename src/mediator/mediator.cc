@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "common/string_util.h"
-#include "eval/evaluator.h"
 #include "ir/compiler.h"
 #include "ir/interp.h"
 #include "obs/metrics.h"
@@ -392,7 +391,6 @@ void Mediator::InitContext(const ExecutionPolicy& policy, ExecContext* ctx) {
   ctx->resilience = policy.resilience;
   ctx->degrade_on_deadline = policy.degrade_on_deadline &&
                              policy.allow_degraded;
-  ctx->backend = policy.backend;
 }
 
 Result<WrapperResult> Mediator::HedgeFetch(const Capability& partner,
@@ -661,41 +659,28 @@ Result<Mediator::PlanExecution> Mediator::RunPlan(
   }
   // Collect + consolidate at the mediator: evaluate the rewriting over the
   // wrapper results (fusion merges per-source fragments by oid).
-  if (ctx.backend == ExecutionBackend::kIR) {
-    TSLRW_ASSIGN_OR_RETURN(std::shared_ptr<const IrProgram> program,
-                           CompiledProgramFor(plan, ctx));
-    ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
-    exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
-    IrExecOptions ir;
-    ir.answer_name = ctx.answer_name;
-    ir.metrics = ctx.metrics;
-    TSLRW_ASSIGN_OR_RETURN(exec.answer,
-                           ExecuteIr(*program, view_results, ir));
-    return exec;
-  }
-  EvalOptions eval;
-  eval.answer_name = ctx.answer_name;
-  eval.metrics = ctx.metrics;
-  eval.tracer = ctx.tracer;
-  TSLRW_ASSIGN_OR_RETURN(exec.answer,
-                         Evaluate(plan.rewriting, view_results, eval));
+  TSLRW_ASSIGN_OR_RETURN(
+      exec.answer,
+      ExecuteRules(TslRuleSet::Single(plan.rewriting), view_results, ctx));
   return exec;
 }
 
-Result<std::shared_ptr<const IrProgram>> Mediator::CompiledProgramFor(
-    const MediatorPlan& plan, const ExecContext& ctx) const {
-  std::lock_guard<std::mutex> lock(plan.compiled->mu);
-  if (plan.compiled->program != nullptr) {
-    CountIf(ctx.metrics, "ir.plan_cache_hits");
-    return plan.compiled->program;
+Result<OemDatabase> Mediator::ExecuteRules(const TslRuleSet& rules,
+                                           const SourceCatalog& view_results,
+                                           const ExecContext& ctx) const {
+  std::shared_ptr<const IrProgram> program;
+  {
+    ScopedSpan compile_span(ctx.tracer, "plan.compile");
+    PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
+    TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(rules));
+    compile_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
   }
-  ScopedSpan compile_span(ctx.tracer, "plan.compile");
-  PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
-  TSLRW_ASSIGN_OR_RETURN(plan.compiled->program,
-                         compiler.Compile(plan.rewriting));
-  compile_span.Annotate(
-      "ops", static_cast<uint64_t>(plan.compiled->program->ops.size()));
-  return plan.compiled->program;
+  ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
+  exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
+  IrExecOptions ir;
+  ir.answer_name = ctx.answer_name;
+  ir.metrics = ctx.metrics;
+  return ExecuteIr(*program, view_results, ir);
 }
 
 Result<OemDatabase> Mediator::Execute(const MediatorPlan& plan,
@@ -1055,31 +1040,8 @@ Result<DegradedAnswer> Mediator::DegradedFallback(
 
   OemDatabase result(ctx.answer_name);
   if (!live_rules.rules.empty()) {
-    if (ctx.backend == ExecutionBackend::kIR) {
-      // Degraded rule sets depend on which views died, so they are compiled
-      // per execution rather than cached on a plan.
-      std::shared_ptr<const IrProgram> program;
-      {
-        ScopedSpan compile_span(ctx.tracer, "plan.compile");
-        PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
-        TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(live_rules));
-        compile_span.Annotate("ops",
-                              static_cast<uint64_t>(program->ops.size()));
-      }
-      ScopedSpan exec_span(ctx.tracer, "plan.exec_ir");
-      exec_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
-      IrExecOptions ir;
-      ir.answer_name = ctx.answer_name;
-      ir.metrics = ctx.metrics;
-      TSLRW_ASSIGN_OR_RETURN(result, ExecuteIr(*program, view_results, ir));
-    } else {
-      EvalOptions eval;
-      eval.answer_name = ctx.answer_name;
-      eval.metrics = ctx.metrics;
-      eval.tracer = ctx.tracer;
-      TSLRW_ASSIGN_OR_RETURN(result,
-                             EvaluateRuleSet(live_rules, view_results, eval));
-    }
+    TSLRW_ASSIGN_OR_RETURN(result,
+                           ExecuteRules(live_rules, view_results, ctx));
   }
   DegradedAnswer answer;
   answer.result = std::move(result);

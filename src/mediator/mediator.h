@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,27 +23,6 @@
 
 namespace tslrw {
 
-struct IrProgram;
-
-/// \brief Which backend evaluates rewritten plans (and the degraded
-/// fallback's rule sets): the original tree walker (src/eval) or the
-/// compiled flat-IR interpreter (src/ir). Answers are byte-identical —
-/// same graph, same roots, same degraded semantics under faults
-/// (docs/IR.md) — only the work done differs.
-enum class ExecutionBackend {
-  kTree,
-  kIR,
-};
-
-/// \brief Lazily compiled IR for one plan. Copies of a MediatorPlan share
-/// the slot (shared_ptr), so the serving layer's plan cache compiles each
-/// cached plan at most once across all requests that replay it, and the
-/// compiled program dies with the cached plan set (invalidated together).
-struct CompiledPlanSlot {
-  std::mutex mu;
-  std::shared_ptr<const IrProgram> program;
-};
-
 /// \brief One executable plan produced by the capability-based rewriter: a
 /// total rewriting whose body conditions all refer to capability views, so
 /// every piece of work conforms to some source's interface (Fig. 2's
@@ -57,9 +35,6 @@ struct MediatorPlan {
   /// A crude cost estimate (Fig. 2's optimizer hook): the number of view
   /// accesses; plans are returned cheapest-first.
   size_t cost = 0;
-  /// ExecutionBackend::kIR compilation cache (see CompiledPlanSlot).
-  std::shared_ptr<CompiledPlanSlot> compiled =
-      std::make_shared<CompiledPlanSlot>();
 
   std::string ToString() const;
 };
@@ -145,11 +120,6 @@ struct ExecutionPolicy {
   /// failing with DeadlineExceeded. Requires `allow_degraded`; disable to
   /// restore the PR 2 hard-error behavior.
   bool degrade_on_deadline = true;
-  /// How plan rewritings (and degraded-fallback rule sets) are evaluated
-  /// over the fetched view results. kIR compiles each plan once (cached on
-  /// the plan, so the serving layer's plan cache amortizes compilation) and
-  /// runs the flat-IR interpreter; answers are byte-identical to kTree.
-  ExecutionBackend backend = ExecutionBackend::kTree;
 };
 
 /// \brief A fault-tolerant answer: the consolidated result annotated with
@@ -315,7 +285,6 @@ class Mediator {
     MetricRegistry* metrics = nullptr; ///< may be null
     ResilienceRegistry* resilience = nullptr;  ///< may be null
     bool degrade_on_deadline = true;
-    ExecutionBackend backend = ExecutionBackend::kTree;
   };
 
   Mediator(std::vector<SourceDescription> sources,
@@ -382,11 +351,15 @@ class Mediator {
     OemDatabase answer;
     bool any_truncated = false;
   };
-  /// The compiled IR for \p plan under ExecutionBackend::kIR: returns the
-  /// plan's cached program, compiling it (under a `plan.compile` span) on
-  /// first use. Thread-safe via the plan's CompiledPlanSlot mutex.
-  Result<std::shared_ptr<const IrProgram>> CompiledProgramFor(
-      const MediatorPlan& plan, const ExecContext& ctx) const;
+  /// The one plan executor: compiles \p rules (a plan's rewriting or the
+  /// degraded fallback's live rules) to the flat IR under a `plan.compile`
+  /// span and runs them over \p view_results under `plan.exec_ir`. Nothing
+  /// is cached on the plan: a program costs 14–18 KB for a 4–5-arm plan,
+  /// and every cached plan set would hold one (docs/IR.md, "Mediator
+  /// integration").
+  Result<OemDatabase> ExecuteRules(const TslRuleSet& rules,
+                                   const SourceCatalog& view_results,
+                                   const ExecContext& ctx) const;
 
   /// Fetches every view of \p plan and evaluates the rewriting. On failure
   /// \p failed_view names the capability view that could not be reached

@@ -168,20 +168,23 @@ bool operator==(const Term& a, const Term& b) {
   return false;
 }
 
-bool operator<(const Term& a, const Term& b) {
-  if (a.kind() != b.kind()) return a.kind() < b.kind();
-  switch (a.kind()) {
-    case TermKind::kAtom:
-      return a.rep_->name < b.rep_->name;
-    case TermKind::kVariable:
-      if (a.rep_->var_kind != b.rep_->var_kind)
-        return a.rep_->var_kind < b.rep_->var_kind;
-      return a.rep_->name < b.rep_->name;
-    case TermKind::kFunction:
-      if (a.rep_->name != b.rep_->name) return a.rep_->name < b.rep_->name;
-      return a.rep_->args < b.rep_->args;
+int Compare(const Term& a, const Term& b) {
+  if (a.rep_ == b.rep_) return 0;
+  if (a.kind() != b.kind()) return a.kind() < b.kind() ? -1 : 1;
+  if (a.kind() == TermKind::kVariable &&
+      a.rep_->var_kind != b.rep_->var_kind) {
+    return a.rep_->var_kind < b.rep_->var_kind ? -1 : 1;
   }
-  return false;
+  if (int c = a.rep_->name.compare(b.rep_->name); c != 0) return c;
+  // Lexicographic over the arguments (empty for atoms and variables); a
+  // proper prefix orders first, as std::vector's operator< would.
+  const std::vector<Term>& xs = a.rep_->args;
+  const std::vector<Term>& ys = b.rep_->args;
+  for (size_t i = 0; i < xs.size() && i < ys.size(); ++i) {
+    if (int c = Compare(xs[i], ys[i]); c != 0) return c;
+  }
+  if (xs.size() == ys.size()) return 0;
+  return xs.size() < ys.size() ? -1 : 1;
 }
 
 bool TermSubstitution::Bind(const Term& var, const Term& value) {

@@ -85,7 +85,12 @@ class Term {
   friend bool operator!=(const Term& a, const Term& b) { return !(a == b); }
   /// Total order (kind, then spelling, then arguments); used for canonical
   /// printing and deterministic iteration.
-  friend bool operator<(const Term& a, const Term& b);
+  friend bool operator<(const Term& a, const Term& b) {
+    return Compare(a, b) < 0;
+  }
+  /// Three-way form of operator<: negative, zero or positive. Visits each
+  /// nesting level once, so comparing deep terms is linear in their size.
+  friend int Compare(const Term& a, const Term& b);
 
  private:
   struct Rep;

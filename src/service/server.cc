@@ -178,7 +178,6 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
   policy.metrics = options_.metrics;
   policy.resilience = &resilience_;
   policy.admission_deadline_ticks = admission_deadline;
-  policy.backend = options_.backend;
   if (wrapper_factory_ != nullptr) {
     wrapper = wrapper_factory_(&clock, serve.seed);
     policy.wrapper = wrapper.get();

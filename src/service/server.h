@@ -93,11 +93,6 @@ struct ServerOptions {
   /// instead of erroring. ServeOptions::deadline_ticks overrides per
   /// request.
   uint64_t request_deadline_ticks = 0;
-  /// Plan-evaluation backend for every request (ExecutionPolicy::backend).
-  /// kIR compiles each cached plan once — the compiled program lives and
-  /// dies with the plan-cache entry — and answers stay byte-identical to
-  /// the tree walker.
-  ExecutionBackend backend = ExecutionBackend::kTree;
   /// Plan-cache treatment on mediator swaps (see MaintenanceMode).
   MaintenanceMode maintenance = MaintenanceMode::kSelective;
   /// Optional span sink for maintenance passes (not owned): each

@@ -302,5 +302,20 @@ TEST(EvalTest, AnswersAreDeterministic) {
   EXPECT_EQ(a1->ToString(), a2->ToString());
 }
 
+TEST(EvalTest, DeepConstantHeadOidEvaluatesQuickly) {
+  // Regression: a 26-deep constant head oid took 4.3 s over two objects,
+  // because every answer-map lookup compared equal deep terms in 2^depth.
+  constexpr int kDepth = 64;
+  std::string oid = "c";
+  for (int d = 0; d < kDepth; ++d) oid = "f(" + oid + ")";
+  SourceCatalog catalog;
+  catalog.Put(MustParseDb("database db { <o1 a \"1\"> <o2 a \"2\"> }"));
+  auto answer = Evaluate(
+      MustParse("<" + oid + " out yes> :- <X a V>@db", "Deep"), catalog);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer->roots().size(), 1u);
+  EXPECT_EQ(answer->size(), 1u);
+}
+
 }  // namespace
 }  // namespace tslrw

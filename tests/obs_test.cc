@@ -13,6 +13,7 @@
 
 #include "common/string_util.h"
 #include "common/virtual_clock.h"
+#include "eval/evaluator.h"
 #include "mediator/fault.h"
 #include "mediator/mediator.h"
 #include "obs/metrics.h"
@@ -391,6 +392,58 @@ TEST(ObsIntegrationTest, ServerCountersStayConsistentUnderLoad) {
             requests);
   EXPECT_EQ(metrics.GetCounter("pool.tasks_run")->value(), requests);
   EXPECT_EQ(metrics.GetGauge("pool.queue_depth")->value(), 0);
+}
+
+TEST(ObsIntegrationTest, ServedEvalMetricsMatchTheTreeWalker) {
+  // The mediator executes plans on the compiled IR; its eval.* metrics must
+  // read what Evaluate reports for the same plan over the same view data.
+  SourceCatalog catalog;
+  catalog.Put(ParseOemDatabase("database db { "
+                               "<p1 p { <n1 name ann> <n2 name bo> }> "
+                               "<p2 p { <n3 name ann> }> }")
+                  .ValueOrDie());
+  const Capability dump = DumpCapability("Dump", "db");
+  auto query = ParseTslQuery("<f(X) out N> :- <P p {<X name N>}>@db", "Q");
+  ASSERT_TRUE(query.ok());
+
+  MetricRegistry served;
+  ServerOptions options;
+  options.threads = 1;
+  options.metrics = &served;
+  QueryServer server(
+      Mediator::Make({SourceDescription{"db", {dump}}}).ValueOrDie(), catalog,
+      options);
+  auto submitted = server.Submit(*query, ServeOptions{});
+  ASSERT_TRUE(submitted.ok()) << submitted.status();
+  auto response = std::move(submitted).value().get();
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->answer.complete());
+  server.Shutdown();
+
+  auto mediator = Mediator::Make({SourceDescription{"db", {dump}}});
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
+  auto plans = mediator->Plan(*query);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_FALSE(plans->empty());
+  SourceCatalog view_results;
+  view_results.Put(MaterializeView(dump.view, catalog).ValueOrDie());
+  MetricRegistry reference;
+  EvalOptions eval;
+  eval.metrics = &reference;
+  ASSERT_TRUE(Evaluate(plans->front().rewriting, view_results, eval).ok());
+
+  for (const char* counter : {"eval.rules", "eval.roots_emitted"}) {
+    EXPECT_EQ(served.GetCounter(counter)->value(),
+              reference.GetCounter(counter)->value())
+        << counter;
+  }
+  const Histogram* served_rows = served.GetHistogram("eval.assignments");
+  const Histogram* reference_rows =
+      reference.GetHistogram("eval.assignments");
+  EXPECT_EQ(served_rows->count(), 1u);
+  EXPECT_EQ(served_rows->count(), reference_rows->count());
+  EXPECT_EQ(served_rows->sum(), reference_rows->sum());
+  EXPECT_GT(served_rows->sum(), 1u);
 }
 
 }  // namespace

@@ -165,6 +165,18 @@ TEST(ParserRobustnessTest, NestingDepthIsBoundedWithAPositionedError) {
   EXPECT_FALSE(ParseTslProgram("<" + term + " out yes> :- <P a V>@s").ok());
 }
 
+TEST(ParserRobustnessTest, DeepOemOidParsesQuickly) {
+  // Regression: an OEM literal whose oid is a 26-deep function term took
+  // 2.5 s to parse (ordering equal deep terms cost 2^depth).
+  constexpr int kDepth = 64;
+  std::string oid = "x";
+  for (int d = 0; d < kDepth; ++d) oid = "f(" + oid + ")";
+  auto db = ParseOemDatabase("database d { <" + oid + " a \"v\"> }");
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(db->size(), 1u);
+  EXPECT_EQ(db->roots().size(), 1u);
+}
+
 TEST(ParserRobustnessTest, ParseErrorsCarrySourcePositions) {
   auto truncated = ParseTslQuery("<f(P out");
   ASSERT_FALSE(truncated.ok());

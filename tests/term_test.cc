@@ -55,6 +55,37 @@ TEST(TermTest, OrderingIsTotalAndConsistent) {
   EXPECT_FALSE(Atom("a") < Atom("a"));
 }
 
+TEST(TermTest, DeepTermsCompareInLinearTime) {
+  // Regression: comparing two equal function terms used to cost 2^depth
+  // (std::vector's operator< asks `<` both ways on equal elements), so a
+  // 26-deep oid took seconds. Depth 64 would never finish.
+  constexpr int kDepth = 64;
+  Term a = Atom("x");
+  Term b = Atom("x");
+  Term c = Atom("y");
+  for (int d = 0; d < kDepth; ++d) {
+    a = Term::MakeFunc("f", {a});
+    b = Term::MakeFunc("f", {b});
+    c = Term::MakeFunc("f", {c});
+  }
+  EXPECT_EQ(Compare(a, b), 0);
+  EXPECT_FALSE(a < b);
+  EXPECT_FALSE(b < a);
+  EXPECT_LT(Compare(a, c), 0);
+  EXPECT_TRUE(a < c);
+  EXPECT_FALSE(c < a);
+  // The order is unchanged: kind, then spelling, then arguments, with a
+  // proper prefix first.
+  EXPECT_LT(Compare(Atom("z"), OidVar("A")), 0);
+  EXPECT_LT(Compare(OidVar("Z"), ValVar("A")), 0);
+  EXPECT_LT(Compare(Term::MakeFunc("f", {Atom("a")}),
+                    Term::MakeFunc("f", {Atom("a"), Atom("a")})),
+            0);
+  EXPECT_GT(Compare(Term::MakeFunc("g", {Atom("a")}),
+                    Term::MakeFunc("f", {Atom("b"), Atom("a")})),
+            0);
+}
+
 TEST(TermTest, CollectVariables) {
   Term t = Term::MakeFunc("f", {OidVar("P"), Term::MakeFunc("g", {ValVar("Y")}),
                                 Atom("c")});
