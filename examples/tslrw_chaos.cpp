@@ -11,10 +11,7 @@
 //     baseline, plan cache retained.
 //
 //   tslrw_chaos [seeds a,b,c] [requests N] [deadline N] [threads N]
-//               [queue N] [shards N] [traces]
-//
-// `shards N` (N > 1) drills a ShardRouter cluster instead: the standard
-// script swaps pool saturation for a shard partition/rejoin phase.
+//               [queue N] [traces]
 //
 // Exit code 0 = every seed deterministic, sound, and recovered.
 
@@ -112,7 +109,6 @@ int main(int argc, char** argv) {
   uint64_t deadline = 256;
   size_t threads = 4;
   size_t queue = 8;
-  size_t shards = 1;
   bool print_traces = false;
   for (int i = 1; i < argc; ++i) {
     auto value = [&](const char* flag) -> const char* {
@@ -138,15 +134,12 @@ int main(int argc, char** argv) {
       threads = std::strtoull(value("threads"), nullptr, 10);
     } else if (std::strcmp(argv[i], "queue") == 0) {
       queue = std::strtoull(value("queue"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "shards") == 0) {
-      shards = std::strtoull(value("shards"), nullptr, 10);
     } else if (std::strcmp(argv[i], "traces") == 0) {
       print_traces = true;
     } else {
       std::fprintf(stderr,
                    "usage: tslrw_chaos [seeds a,b,c] [requests N] "
-                   "[deadline N] [threads N] [queue N] [shards N] "
-                   "[traces]\n");
+                   "[deadline N] [threads N] [queue N] [traces]\n");
       return 2;
     }
   }
@@ -167,7 +160,6 @@ int main(int argc, char** argv) {
     options.request_deadline_ticks = deadline;
     options.server.threads = threads;
     options.server.queue_capacity = queue;
-    options.cluster_shards = shards;
     const std::vector<ChaosPhase> script =
         StandardChaosScript(sources, options);
 

@@ -7,12 +7,10 @@
 // (docs/SERVING.md "Incremental maintenance").
 //
 //   tslrw_maint_drill [seeds a,b,c] [steps N] [requests N] [threads N]
-//               [shards N] [report]
+//               [report]
 //
-// `threads N` (N > 1) issues each step's request burst concurrently;
-// `shards N` (N > 1) drills a ShardRouter cluster, which must replicate
-// the same catalog delta to every shard. `report` prints the selective
-// arm's per-step maintenance log.
+// `threads N` (N > 1) issues each step's request burst concurrently.
+// `report` prints the selective arm's per-step maintenance log.
 //
 // Exit code 0 = every (seed, config) byte-identical across the arms.
 
@@ -31,7 +29,6 @@ int main(int argc, char** argv) {
   size_t steps = 10;
   size_t requests = 6;
   size_t threads = 1;
-  size_t shards = 1;
   bool print_report = false;
   for (int i = 1; i < argc; ++i) {
     auto value = [&](const char* flag) -> const char* {
@@ -55,14 +52,12 @@ int main(int argc, char** argv) {
       requests = std::strtoull(value("requests"), nullptr, 10);
     } else if (std::strcmp(argv[i], "threads") == 0) {
       threads = std::strtoull(value("threads"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "shards") == 0) {
-      shards = std::strtoull(value("shards"), nullptr, 10);
     } else if (std::strcmp(argv[i], "report") == 0) {
       print_report = true;
     } else {
       std::fprintf(stderr,
                    "usage: tslrw_maint_drill [seeds a,b,c] [steps N] "
-                   "[requests N] [threads N] [shards N] [report]\n");
+                   "[requests N] [threads N] [report]\n");
       return 2;
     }
   }
@@ -81,7 +76,6 @@ int main(int argc, char** argv) {
     options.steps = steps;
     options.requests_per_step = requests;
     options.parallelism = threads;
-    options.shards = shards;
     Result<MaintDrillResult> drilled = RunMaintDifferentialDrill(options);
     if (!drilled.ok()) {
       std::fprintf(stderr, "seed %llu: drill error: %s\n",
@@ -112,10 +106,9 @@ int main(int argc, char** argv) {
     ok = ok && result.identical;
   }
   std::printf(
-      "maint: %zu seed(s), %zu thread(s), %zu shard(s): %s "
+      "maint: %zu seed(s), %zu thread(s): %s "
       "(%zu examined, %zu invalidated, %zu retained)\n",
-      seeds.size(), threads, shards,
-      ok ? "selective == full flush" : "FAILED", examined, invalidated,
-      retained);
+      seeds.size(), threads, ok ? "selective == full flush" : "FAILED",
+      examined, invalidated, retained);
   return ok ? 0 : 1;
 }

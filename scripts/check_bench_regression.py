@@ -48,19 +48,6 @@ The same pairing argument applies: the gate holds the compiled backend
 to a floor that separately-timed rows on a shared host could not
 enforce. This gates the k=7 plan-set execution win of src/ir.
 
-Scaling mode::
-
-    check_bench_regression.py CURRENT.json --scaling BM_ClusterScaling \\
-        [--scaling-min 2.5]
-
-gates *paired* multi-shard-vs-single-shard benchmarks: each named
-benchmark pushes the same batch through a 1-shard and a 4-shard cluster
-interleaved within one iteration and exports a ``scaling`` counter
-(1-shard/4-shard wall-time ratio) plus ``shard1_us``/``shard4_us``.
-Every row matching a name prefix fails the gate when its scaling falls
-below ``--scaling-min``. This gates the CL-SHARD near-linear throughput
-claim of src/cluster.
-
 Retention mode::
 
     check_bench_regression.py CURRENT.json --retention BM_MaintSingleViewEdit \\
@@ -199,53 +186,6 @@ def check_speedup(path, prefixes, minimum, min_us):
     return 0
 
 
-def check_scaling(path, prefixes, minimum, min_us):
-    """Gates paired benchmarks that export a ``scaling`` ratio counter.
-
-    ``prefixes`` works like in check_overhead. Rows whose ``shard1_us``
-    counter is below ``min_us`` are skipped as timer noise. Returns the
-    exit code.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    failures = []
-    compared = 0
-    for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        name = bench.get("name", "")
-        if not any(name == p or name.startswith(p + "/") for p in prefixes):
-            continue
-        ratio = bench.get("scaling")
-        if ratio is None:
-            print(f"  {name}: no `scaling` counter; skipped")
-            continue
-        shard1_us = bench.get("shard1_us", 0.0)
-        shard4_us = bench.get("shard4_us", 0.0)
-        if shard1_us < min_us:
-            continue
-        compared += 1
-        marker = ""
-        if ratio < minimum:
-            failures.append(name)
-            marker = "  << BELOW FLOOR"
-        print(f"  {name}: {shard1_us:.0f}us at 1 shard -> "
-              f"{shard4_us:.0f}us at 4 (x{ratio:.2f}){marker}")
-
-    if not compared:
-        print("no comparable scaling rows; gate FAILS (nothing measured)")
-        return 1
-    if failures:
-        print(f"\n{len(failures)} benchmark(s) fall below the "
-              f"{minimum:.2f}x cluster throughput-scaling floor:")
-        for name in failures:
-            print(f"  {name}")
-        return 1
-    print(f"cluster scaling at or above {minimum:.2f}x "
-          f"on all {compared} rows")
-    return 0
-
-
 def check_retention(path, prefixes, retention_min, warmhit_min):
     """Gates paired maintenance benchmarks exporting ``retained`` and
     ``warmhit_gain`` counters. Returns the exit code."""
@@ -318,14 +258,6 @@ def main():
     parser.add_argument("--speedup-min", type=float, default=1.5,
                         help="minimum tree/IR speedup in --speedup mode "
                              "(default 1.5)")
-    parser.add_argument("--scaling", nargs="+", metavar="BENCH",
-                        help="paired benchmarks (with a `scaling` ratio "
-                             "counter) to hold to a minimum 4-shard/1-shard "
-                             "throughput ratio instead of a baseline "
-                             "comparison")
-    parser.add_argument("--scaling-min", type=float, default=2.5,
-                        help="minimum cluster throughput scaling in "
-                             "--scaling mode (default 2.5)")
     parser.add_argument("--retention", nargs="+", metavar="BENCH",
                         help="paired maintenance benchmarks (with "
                              "`retained` and `warmhit_gain` counters) to "
@@ -346,15 +278,12 @@ def main():
     if args.speedup:
         return check_speedup(args.current, args.speedup,
                              args.speedup_min, args.min_us)
-    if args.scaling:
-        return check_scaling(args.current, args.scaling,
-                             args.scaling_min, args.min_us)
     if args.retention:
         return check_retention(args.current, args.retention,
                                args.retention_min, args.warmhit_min)
     if not args.baseline:
         parser.error("baseline JSON is required unless --overhead, "
-                     "--speedup, --scaling, or --retention is given")
+                     "--speedup, or --retention is given")
 
     current = load_times(args.current)
     baseline = load_times(args.baseline)

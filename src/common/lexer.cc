@@ -188,4 +188,10 @@ Status TokenCursor::ErrorHere(std::string_view message) const {
   return ErrorAtToken(Peek(), message);
 }
 
+Status CheckDepth(const TokenCursor& cur, int depth) {
+  if (depth <= kMaxNestingDepth) return Status::OK();
+  return cur.ErrorHere(StrCat("objects and terms nest deeper than ",
+                              kMaxNestingDepth, " levels"));
+}
+
 }  // namespace tslrw

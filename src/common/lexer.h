@@ -81,6 +81,17 @@ class TokenCursor {
   size_t pos_ = 0;
 };
 
+/// \brief How deep objects (or object patterns) and function terms may
+/// nest, counted together, in every recursive-descent parser over this
+/// lexer. Each parser and every pass over what it builds recurse once per
+/// level, so an unbounded depth would let a short input exhaust the
+/// stack; real rules and databases nest a handful of levels.
+inline constexpr int kMaxNestingDepth = 512;
+
+/// \brief Fails with a ParseError positioned at \p cur once \p depth
+/// (1 at the top level) exceeds kMaxNestingDepth.
+Status CheckDepth(const TokenCursor& cur, int depth);
+
 }  // namespace tslrw
 
 #endif  // TSLRW_COMMON_LEXER_H_

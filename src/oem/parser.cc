@@ -8,7 +8,9 @@ namespace tslrw {
 namespace {
 
 /// Parses a ground term: IDENT | STRING | IDENT '(' term (',' term)* ')'.
-Result<Term> ParseTerm(TokenCursor* cur) {
+/// \p depth is the nesting level of this term (1 at the top).
+Result<Term> ParseTerm(TokenCursor* cur, int depth) {
+  TSLRW_RETURN_NOT_OK(CheckDepth(*cur, depth));
   const Token& tok = cur->Peek();
   if (tok.kind == TokenKind::kString) {
     return Term::MakeAtom(cur->Next().text);
@@ -23,7 +25,7 @@ Result<Term> ParseTerm(TokenCursor* cur) {
   std::vector<Term> args;
   if (!cur->TryConsume(TokenKind::kRParen)) {
     while (true) {
-      TSLRW_ASSIGN_OR_RETURN(Term arg, ParseTerm(cur));
+      TSLRW_ASSIGN_OR_RETURN(Term arg, ParseTerm(cur, depth + 1));
       args.push_back(std::move(arg));
       if (cur->TryConsume(TokenKind::kComma)) continue;
       TSLRW_RETURN_NOT_OK(cur->Expect(TokenKind::kRParen).status());
@@ -34,10 +36,12 @@ Result<Term> ParseTerm(TokenCursor* cur) {
 }
 
 /// Parses `<oid label value>` recursively; inserts into \p db and returns
-/// the oid so the caller can link it as a child or root.
-Result<Oid> ParseObject(TokenCursor* cur, OemDatabase* db) {
+/// the oid so the caller can link it as a child or root. \p depth counts
+/// object and term nesting together, as the TSL parser does.
+Result<Oid> ParseObject(TokenCursor* cur, OemDatabase* db, int depth) {
+  TSLRW_RETURN_NOT_OK(CheckDepth(*cur, depth));
   TSLRW_RETURN_NOT_OK(cur->Expect(TokenKind::kLAngle).status());
-  TSLRW_ASSIGN_OR_RETURN(Term oid, ParseTerm(cur));
+  TSLRW_ASSIGN_OR_RETURN(Term oid, ParseTerm(cur, depth + 1));
   Token label_tok = cur->Peek();
   if (label_tok.kind != TokenKind::kIdent &&
       label_tok.kind != TokenKind::kString) {
@@ -51,11 +55,11 @@ Result<Oid> ParseObject(TokenCursor* cur, OemDatabase* db) {
     TSLRW_RETURN_NOT_OK(db->PutSet(oid, label));
     while (!cur->TryConsume(TokenKind::kRBrace)) {
       if (cur->TryConsume(TokenKind::kAt)) {
-        TSLRW_ASSIGN_OR_RETURN(Term ref, ParseTerm(cur));
+        TSLRW_ASSIGN_OR_RETURN(Term ref, ParseTerm(cur, depth + 1));
         TSLRW_RETURN_NOT_OK(db->AddEdge(oid, ref));
         continue;
       }
-      TSLRW_ASSIGN_OR_RETURN(Oid child, ParseObject(cur, db));
+      TSLRW_ASSIGN_OR_RETURN(Oid child, ParseObject(cur, db, depth + 1));
       TSLRW_RETURN_NOT_OK(db->AddEdge(oid, child));
     }
   } else if (v.kind == TokenKind::kString || v.kind == TokenKind::kIdent) {
@@ -80,11 +84,11 @@ Result<OemDatabase> ParseOemDatabase(std::string_view text) {
     if (cur.TryConsume(TokenKind::kAt)) {
       // A root that is also some object's child: defined at its first
       // occurrence, referenced here (the printer emits this form).
-      TSLRW_ASSIGN_OR_RETURN(Term ref, ParseTerm(&cur));
+      TSLRW_ASSIGN_OR_RETURN(Term ref, ParseTerm(&cur, 1));
       TSLRW_RETURN_NOT_OK(db.AddRoot(ref));
       continue;
     }
-    TSLRW_ASSIGN_OR_RETURN(Oid root, ParseObject(&cur, &db));
+    TSLRW_ASSIGN_OR_RETURN(Oid root, ParseObject(&cur, &db, 1));
     TSLRW_RETURN_NOT_OK(db.AddRoot(root));
   }
   if (!cur.AtEof()) {
@@ -97,7 +101,7 @@ Result<OemDatabase> ParseOemDatabase(std::string_view text) {
 Result<Term> ParseGroundTerm(std::string_view text) {
   TSLRW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text));
   TokenCursor cur(std::move(tokens));
-  TSLRW_ASSIGN_OR_RETURN(Term t, ParseTerm(&cur));
+  TSLRW_ASSIGN_OR_RETURN(Term t, ParseTerm(&cur, 1));
   if (!cur.AtEof()) {
     return cur.ErrorHere("trailing input after term");
   }

@@ -63,12 +63,6 @@ constexpr std::string_view kHelp =
     "  serve <query> [seed <n>]         answer through the server and its\n"
     "                                   rewriting-plan cache\n"
     "  serve stop                       stop the server\n"
-    "  cluster start [shards <n>] [threads <n>] [queue <n>] [cache <n>]\n"
-    "                                   start the sharded cluster front-end\n"
-    "  cluster <query> [seed <n>]       route by canonical fingerprint to a\n"
-    "                                   shard and answer there\n"
-    "  cluster stats                    router counters and per-shard stats\n"
-    "  cluster stop                     stop every shard\n"
     "  chaos [seed <n>] [requests <n>]  deterministic multi-phase fault\n"
     "                                   drill over the declared\n"
     "                                   capabilities and queries\n"
@@ -141,7 +135,6 @@ std::string ReplSession::Execute(std::string_view line) {
   if (command == "plan") return PlanCmd(rest);
   if (command == "mediate") return Mediate(rest);
   if (command == "serve") return Serve(rest);
-  if (command == "cluster") return Cluster(rest);
   if (command == "stats") return Stats(rest);
   if (command == "chaos") return Chaos(rest);
   if (command == "trace") return TraceCmd(rest);
@@ -180,15 +173,11 @@ std::string ReplSession::Source(std::string_view rest) {
   std::string name = db->name();
   catalog_.Put(std::move(db).value());
   // A running server never sees catalog_ directly: the mutation reaches it
-  // as a snapshot swap, so in-flight servings keep their old catalog. A
-  // running cluster replicates the same swap to every shard.
+  // as a snapshot swap, so in-flight servings keep their old catalog.
   if (server_ != nullptr) {
     server_->UpdateCatalog(*catalog_.Find(name).value());
   }
-  if (cluster_ != nullptr) {
-    cluster_->UpdateCatalog(*catalog_.Find(name).value());
-  }
-  bool published = server_ != nullptr || cluster_ != nullptr;
+  bool published = server_ != nullptr;
   return StrCat("source ", name, " defined (",
                 catalog_.Find(name).value()->ReachableOids().size(),
                 " reachable objects)", published ? ", published" : "", "\n");
@@ -487,12 +476,6 @@ std::string ReplSession::Compile(std::string_view rest) {
                ? "index attached to the running server\n"
                : StrCat("index not attached: ", attached.ToString(), "\n");
   }
-  if (cluster_ != nullptr) {
-    Status attached = cluster_->AttachCatalogIndex(compiled);
-    out += attached.ok() ? "index replicated to every cluster shard\n"
-                         : StrCat("index not attached to the cluster: ",
-                                  attached.ToString(), "\n");
-  }
   return out;
 }
 
@@ -510,10 +493,7 @@ std::string ReplSession::Materialize(std::string_view rest) {
   if (server_ != nullptr) {
     server_->UpdateCatalog(*catalog_.Find(source_name).value());
   }
-  if (cluster_ != nullptr) {
-    cluster_->UpdateCatalog(*catalog_.Find(source_name).value());
-  }
-  bool published = server_ != nullptr || cluster_ != nullptr;
+  bool published = server_ != nullptr;
   return StrCat("view ", name, " materialized as a source (", objects,
                 " objects)", published ? ", published" : "", "\n");
 }
@@ -550,9 +530,9 @@ std::string ReplSession::DefineCapability(std::string_view rest) {
   if (!replaced) sd.capabilities.push_back(Capability{*view, {}});
   rule_texts_.insert_or_assign(name, std::string(rest));
   // A capability change alters the running planning interface: swap a
-  // rebuilt mediator into the server and/or every cluster shard (a fresh
-  // plan-cache generation comes with each swap).
-  if (server_ != nullptr || cluster_ != nullptr) {
+  // rebuilt mediator into the server (plan-cache maintenance comes with
+  // the swap).
+  if (server_ != nullptr) {
     std::vector<SourceDescription> sources;
     for (const auto& [src, desc] : capabilities_) sources.push_back(desc);
     auto mediator = Mediator::Make(std::move(sources), constraints_ptr());
@@ -562,21 +542,10 @@ std::string ReplSession::DefineCapability(std::string_view rest) {
                     ", but the running interface was kept: ",
                     mediator.status().ToString(), "\n");
     }
-    std::string where;
-    std::string maintenance;
-    if (server_ != nullptr) {
-      MaintenanceReport report = server_->ReplaceMediator(*mediator);
-      where = "server";
-      maintenance = report.ToString();
-    }
-    if (cluster_ != nullptr) {
-      MaintenanceReport report = cluster_->ReplaceMediator(*mediator);
-      where += where.empty() ? "cluster" : " and cluster";
-      maintenance = report.ToString();
-    }
+    MaintenanceReport report = server_->ReplaceMediator(*mediator);
     return StrCat("capability ", name, " of ", source,
-                  replaced ? " redefined" : " defined", ", ", where,
-                  " mediator replaced: ", maintenance, "\n");
+                  replaced ? " redefined" : " defined",
+                  ", server mediator replaced: ", report.ToString(), "\n");
   }
   return StrCat("capability ", name, " of ", source,
                 replaced ? " redefined\n" : " defined\n");
@@ -850,119 +819,10 @@ std::string ReplSession::ServeStart(std::string_view rest) {
                 ", plan cache ", options.plan_cache_capacity, ")\n");
 }
 
-std::string ReplSession::Cluster(std::string_view rest) {
-  constexpr std::string_view kUsage =
-      "usage: cluster start [shards <n>] [threads <n>] [queue <n>] "
-      "[cache <n>]\n"
-      "       cluster <query> [seed <n>]\n"
-      "       cluster stats\n"
-      "       cluster stop\n";
-  std::string_view word = TakeWord(&rest);
-  if (word.empty()) return std::string(kUsage);
-  if (word == "start") return ClusterStart(rest);
-  if (word == "stop") {
-    if (cluster_ == nullptr) return "no cluster running\n";
-    cluster_.reset();  // every shard drains its admitted requests and joins
-    return "cluster stopped\n";
-  }
-  if (cluster_ == nullptr) {
-    return "error: no cluster running (see `cluster start`)\n";
-  }
-  if (word == "stats") {
-    if (!Trim(rest).empty()) return std::string(kUsage);
-    return cluster_->Statsz();
-  }
-  uint64_t seed = 0;
-  if (std::string_view option = TakeWord(&rest); option == "seed") {
-    std::string value(TakeWord(&rest));
-    if (value.empty()) return std::string(kUsage);
-    seed = std::strtoull(value.c_str(), nullptr, 10);
-  } else if (!option.empty()) {
-    return std::string(kUsage);
-  }
-  auto query = LookupQuery(word);
-  if (!query.ok()) return RenderError(query.status());
-  ServeOptions serve;
-  serve.seed = seed;
-  serve.tracer = StartTrace();  // records the cluster.route span too
-  auto submitted = cluster_->Submit(*query, serve);
-  if (!submitted.ok()) return RenderError(submitted.status());
-  auto response = std::move(submitted).value().get();
-  if (!response.ok()) return RenderError(response.status());
-  const uint64_t fingerprint = MakePlanCacheKey(*query).fingerprint;
-  std::string out = StrCat(
-      response->answer.result.ToString(), "routed to shard ",
-      cluster_->RouteOf(fingerprint), " of ", cluster_->shards(),
-      "; plan cache: ", response->plan_cache_hit ? "hit" : "miss", "\n");
-  if (serve.tracer != nullptr) {
-    out += StrCat("trace: ", serve.tracer->span_count(),
-                  " span(s) recorded (`trace dump`)\n");
-  }
-  return out;
-}
-
-std::string ReplSession::ClusterStart(std::string_view rest) {
-  constexpr std::string_view kUsage =
-      "usage: cluster start [shards <n>] [threads <n>] [queue <n>] "
-      "[cache <n>]\n";
-  if (cluster_ != nullptr) {
-    return "error: cluster already running (see `cluster stop`)\n";
-  }
-  if (capabilities_.empty()) {
-    return "error: no capabilities defined (see `capability`)\n";
-  }
-  ClusterOptions options;
-  options.shards = 2;
-  options.server.metrics = &metrics_;
-  while (!rest.empty()) {
-    std::string_view option = TakeWord(&rest);
-    std::string value(TakeWord(&rest));
-    if (value.empty()) return std::string(kUsage);
-    uint64_t parsed = std::strtoull(value.c_str(), nullptr, 10);
-    if (option == "shards") {
-      options.shards = static_cast<size_t>(parsed);
-    } else if (option == "threads") {
-      options.server.threads = static_cast<size_t>(parsed);
-    } else if (option == "queue") {
-      options.server.queue_capacity = static_cast<size_t>(parsed);
-    } else if (option == "cache") {
-      options.server.plan_cache_capacity = static_cast<size_t>(parsed);
-    } else {
-      return std::string(kUsage);
-    }
-  }
-  if (options.shards == 0) return "error: shards must be at least 1\n";
-  std::vector<SourceDescription> sources;
-  for (const auto& [src, sd] : capabilities_) sources.push_back(sd);
-  auto mediator = Mediator::Make(std::move(sources), constraints_ptr());
-  if (!mediator.ok()) return RenderError(mediator.status());
-  // `fault` schedules are snapshotted like `serve start` does: every shard
-  // worker replays them per request through its own injector.
-  WrapperFactory factory = nullptr;
-  if (!faults_.empty()) {
-    std::map<std::string, FaultSchedule> schedules;
-    for (const auto& [src, fault] : faults_) {
-      FaultSchedule schedule;
-      schedule.steady_state = fault;
-      schedules[src] = std::move(schedule);
-    }
-    factory = MakeFaultInjectingWrapperFactory(std::move(schedules));
-  }
-  cluster_ = std::make_unique<ShardRouter>(std::move(mediator).value(),
-                                           catalog_, options,
-                                           std::move(factory));
-  return StrCat("cluster of ", options.shards, " shard(s) serving ",
-                capabilities_.size(), " source interface(s) (",
-                options.server.threads, " thread(s)/shard, queue ",
-                options.server.queue_capacity, ", plan cache ",
-                options.server.plan_cache_capacity, " per shard)\n");
-}
-
 std::string ReplSession::Stats(std::string_view rest) {
   if (!Trim(rest).empty()) return "usage: stats\n";
   std::string out;
   if (server_ != nullptr) out += server_->stats().ToString();
-  if (cluster_ != nullptr) out += cluster_->stats().ToString();
   std::string metrics = metrics_.ToText();
   if (!metrics.empty()) {
     out += "metrics:\n";

@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "analysis/analyzer.h"
-#include "cluster/cluster.h"
 #include "common/result.h"
 #include "constraints/inference.h"
 #include "mediator/fault.h"
@@ -53,11 +52,6 @@ namespace tslrw {
 ///                               % start the concurrent serving layer
 /// serve Q3 [seed 7]             % answer through the server + plan cache
 /// serve stop
-/// cluster start [shards 4] [threads 4] [queue 128] [cache 256]
-///                               % start the sharded cluster front-end
-/// cluster Q3 [seed 7]           % route by fingerprint to a shard
-/// cluster stats                 % router counters + per-shard /statsz
-/// cluster stop
 /// chaos [seed 7]                % deterministic multi-phase fault drill
 /// stats                         % serving-layer counters + session metrics
 /// trace on                      % record spans for rewrite/mediate/serve
@@ -106,8 +100,6 @@ class ReplSession {
   std::string Chaos(std::string_view rest);
   std::string Serve(std::string_view rest);
   std::string ServeStart(std::string_view rest);
-  std::string Cluster(std::string_view rest);
-  std::string ClusterStart(std::string_view rest);
   std::string Stats(std::string_view rest);
   std::string TraceCmd(std::string_view rest);
   std::string Show(std::string_view rest);
@@ -158,11 +150,6 @@ class ReplSession {
   /// snapshot swap and `capability` changes replace its mediator; `fault`
   /// schedules are snapshotted at `serve start`.
   std::unique_ptr<QueryServer> server_;
-  /// The sharded cluster front-end behind `cluster`. Independent of
-  /// `server_` (both can run); catalog mutations replicate to every shard
-  /// and `capability` changes replace the cluster's mediator too. Declared
-  /// after `metrics_` for the same destruction-order reason as `server_`.
-  std::unique_ptr<ShardRouter> cluster_;
   bool done_ = false;
 };
 

@@ -100,9 +100,9 @@ class PlanCache {
 
   PlanCacheStats stats() const;
 
-  /// Per-lock-shard counters, index = shard (fingerprint % shards). The
-  /// cluster's per-shard statsz prints these; the aggregate stats() is
-  /// their sum. The in-flight gauges are cache-global and reported only by
+  /// Per-lock-shard counters, index = shard (fingerprint % shards).
+  /// QueryServer::Statsz prints these; the aggregate stats() is their
+  /// sum. The in-flight gauges are cache-global and reported only by
   /// stats().
   std::vector<PlanCacheStats> ShardStats() const;
 

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "catalog/diff.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -229,18 +230,6 @@ MaintenanceReport QueryServer::ReplaceMediator(Mediator mediator) {
   const CatalogDelta delta = ComputeCatalogDelta(
       current->mediator->sources(), current->mediator->constraints(),
       mediator.sources(), mediator.constraints());
-  return ReplaceMediatorLocked(std::move(mediator), delta, current);
-}
-
-MaintenanceReport QueryServer::ReplaceMediator(Mediator mediator,
-                                               const CatalogDelta& delta) {
-  std::lock_guard<std::mutex> writer(mutate_mu_);
-  return ReplaceMediatorLocked(std::move(mediator), delta, snapshot());
-}
-
-MaintenanceReport QueryServer::ReplaceMediatorLocked(
-    Mediator mediator, const CatalogDelta& delta,
-    const std::shared_ptr<const Snapshot>& current) {
   // Stale-index guard: a catalog index compiled for the retiring view set
   // must not serve the new one. Re-validate it against the incoming
   // mediator (ValidateAgainst pins names, definitions, and constraints —

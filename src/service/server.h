@@ -9,7 +9,6 @@
 #include <mutex>
 #include <string>
 
-#include "catalog/diff.h"
 #include "common/result.h"
 #include "maint/invalidate.h"
 #include "mediator/fault.h"
@@ -214,14 +213,6 @@ class QueryServer {
   /// wins. Returns what happened to the cache.
   MaintenanceReport ReplaceMediator(Mediator mediator);
 
-  /// As above with a precomputed old-vs-new CatalogDelta: the cluster
-  /// router diffs once against its template mediator and replicates the
-  /// same delta to every shard. \p delta must describe exactly the change
-  /// from this server's current mediator to \p mediator — a wrong delta
-  /// breaks the retention proof (entries may be kept that should not be).
-  MaintenanceReport ReplaceMediator(Mediator mediator,
-                                    const CatalogDelta& delta);
-
   /// Attaches a compiled catalog index (src/catalog) to the serving
   /// snapshot: validates it against the current mediator, then publishes a
   /// snapshot whose plan searches probe the index. The plan-cache
@@ -274,10 +265,6 @@ class QueryServer {
   std::shared_ptr<const Snapshot> snapshot() const;
   void Publish(std::shared_ptr<const Snapshot> next);
   PlanCache::Options CacheOptions() const;
-  /// Shared tail of the ReplaceMediator overloads; expects mutate_mu_.
-  MaintenanceReport ReplaceMediatorLocked(
-      Mediator mediator, const CatalogDelta& delta,
-      const std::shared_ptr<const Snapshot>& current);
 
   ServerOptions options_;
   WrapperFactory wrapper_factory_;

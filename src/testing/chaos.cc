@@ -10,12 +10,10 @@
 
 #include "catalog/compiler.h"
 #include "catalog/index_file.h"
-#include "cluster/cluster.h"
 #include "common/string_util.h"
 #include "mediator/mediator.h"
 #include "mediator/retry.h"
 #include "obs/trace.h"
-#include "service/canonical.h"
 #include "tsl/canonical.h"
 
 namespace tslrw {
@@ -153,23 +151,6 @@ std::string BreakerLine(const std::vector<BreakerSnapshot>& breakers) {
   return line + "\n";
 }
 
-/// One breaker line for a single-shard drill (the historical format), one
-/// per shard otherwise — each shard's registry is its own failure domain.
-std::string BreakerLines(const ShardRouter& router) {
-  if (router.shards() == 1) {
-    return BreakerLine(router.resilience(0).Snapshot());
-  }
-  std::string lines;
-  for (size_t s = 0; s < router.shards(); ++s) {
-    std::string line = StrCat("  breakers[s", s, "]:");
-    for (const BreakerSnapshot& breaker : router.resilience(s).Snapshot()) {
-      line += StrCat(" ", breaker.endpoint, "=", ShortState(breaker.state));
-    }
-    lines += line + "\n";
-  }
-  return lines;
-}
-
 }  // namespace
 
 std::vector<ChaosPhase> StandardChaosScript(
@@ -248,19 +229,8 @@ std::vector<ChaosPhase> StandardChaosScript(
       {"index-corruption", {}, ChaosPhase::Action::kIndexCorruption});
   script.push_back(
       {"snapshot-swap-race", {}, ChaosPhase::Action::kCatalogSwapRace});
-  if (options.cluster_shards > 1) {
-    // A network partition severs a shard from the router *and* a source
-    // from the survivors: partitioned keys re-route to the ring successor
-    // while answers degrade per §7, then the rejoin restores the baseline.
-    // Saturation is skipped — its worker/queue arithmetic assumes one pool.
-    std::map<std::string, FaultSchedule> partition_faults;
-    if (!pool_source.empty()) partition_faults[pool_source] = dead;
-    script.push_back({"shard-partition", std::move(partition_faults),
-                      ChaosPhase::Action::kShardPartition});
-  } else {
-    script.push_back(
-        {"pool-saturation", {}, ChaosPhase::Action::kPoolSaturation});
-  }
+  script.push_back(
+      {"pool-saturation", {}, ChaosPhase::Action::kPoolSaturation});
   return script;
 }
 
@@ -300,19 +270,13 @@ Result<ChaosDrillResult> RunChaosDrill(
     server_options.resilience.hedge.enabled = true;
   }
   auto state = std::make_shared<ChaosState>();
-  ClusterOptions cluster_options;
-  cluster_options.shards = std::max<size_t>(options.cluster_shards, 1);
-  cluster_options.server = server_options;
-  ShardRouter server(
-      std::move(made).ValueOrDie(), catalog, cluster_options,
+  QueryServer server(
+      std::move(made).ValueOrDie(), catalog, server_options,
       [state](VirtualClock* clock, uint64_t seed) -> std::unique_ptr<Wrapper> {
         return std::make_unique<ChaosWrapper>(state, seed, clock);
       });
-  const size_t shards = server.shards();
-  // Aggregate plan-cache residency across the shards (each shard caches
-  // the keys it owns; the drill's retention checks are about the union).
   auto cache_entries = [&server]() {
-    return server.stats().TotalPlanCache().entries;
+    return server.stats().plan_cache.entries;
   };
 
   ChaosDrillResult result;
@@ -320,8 +284,7 @@ Result<ChaosDrillResult> RunChaosDrill(
   report = StrCat("chaos drill: seed=", options.seed, ", ", queries.size(),
                   " quer", queries.size() == 1 ? "y" : "ies", ", ",
                   script.size(), " phase(s), deadline ",
-                  options.request_deadline_ticks, " tick(s)",
-                  shards > 1 ? StrCat(", ", shards, " shard(s)") : "", "\n");
+                  options.request_deadline_ticks, " tick(s)\n");
   DeterministicRng rng(options.seed);
 
   auto violation = [&result](std::string what) {
@@ -417,10 +380,8 @@ Result<ChaosDrillResult> RunChaosDrill(
     if (phase.action == ChaosPhase::Action::kPoolSaturation) {
       // Park every worker inside a fetch, fill the bounded queue, and
       // prove the overflow rejects deterministically while the retry-after
-      // hint reports the backlog; then open the gate and drain. Scripts
-      // only schedule this for single-shard drills, where the one pool's
-      // worker/queue arithmetic below is exact.
-      const ServerStats before = server.stats().shard[0];
+      // hint reports the backlog; then open the gate and drain.
+      const ServerStats before = server.stats();
       const size_t workers = before.threads;
       const size_t capacity = before.queue_capacity;
       state->CloseGate();
@@ -446,14 +407,20 @@ Result<ChaosDrillResult> RunChaosDrill(
         future_queries.push_back(query_index);
         return true;
       };
-      for (size_t i = 0; i < workers; ++i) submit(i);
-      state->AwaitArrivals(workers);
+      // Park the workers one at a time: each submission waits for its
+      // worker to reach the gate, so the queue is empty at every submit
+      // and a queue shorter than the pool cannot reject a request that
+      // outran the workers' pops (its worker would never park).
+      size_t parked = 0;
+      for (size_t i = 0; i < workers; ++i) {
+        if (submit(i)) state->AwaitArrivals(++parked);
+      }
       for (size_t i = 0; i < capacity; ++i) submit(workers + i);
       size_t overflow_rejected = 0;
       for (size_t i = 0; i < options.saturation_overflow; ++i) {
         if (!submit(workers + capacity + i)) ++overflow_rejected;
       }
-      const size_t hint = server.stats().shard[0].retry_after_queued;
+      const size_t hint = server.stats().retry_after_queued;
       state->OpenGate();
       for (size_t i = 0; i < futures.size(); ++i) {
         absorb(phase.name, i, future_queries[i], futures[i].get(), &tally);
@@ -470,45 +437,15 @@ Result<ChaosDrillResult> RunChaosDrill(
                            " queued\n");
       report += StrCat("phase ", phase.name, ": ",
                        TallyLine(tally, futures.size() + tally.rejected),
-                       "\n", action_note, BreakerLines(server));
+                       "\n", action_note,
+                       BreakerLine(server.resilience().Snapshot()));
       continue;
     }
 
     // Sequential phases: requests round-robin the queries; the first one
     // is traced and its span tree appended to the drill's trace dump.
     const size_t plan_entries_before = cache_entries();
-    size_t partition_victim = shards;
-    uint64_t rerouted_before = 0;
-    if (phase.action == ChaosPhase::Action::kShardPartition && shards > 1) {
-      // Partition the shard owning the first drill query, so at least one
-      // drilled key provably re-routes to its ring successor.
-      partition_victim =
-          server.HomeOf(MakePlanCacheKey(queries[0]).fingerprint);
-      rerouted_before = server.stats().rerouted;
-      server.SetShardDown(partition_victim, true);
-    }
     for (size_t i = 0; i < options.requests_per_phase; ++i) {
-      if (phase.action == ChaosPhase::Action::kShardPartition &&
-          partition_victim < shards &&
-          i == std::max<size_t>(options.requests_per_phase / 2, 1)) {
-        // Rejoin: the shard comes back with its snapshot, plan cache, and
-        // breakers intact, and the partition's source faults clear.
-        server.SetShardDown(partition_victim, false);
-        state->SetSchedules({});
-        const uint64_t rerouted =
-            server.stats().rerouted - rerouted_before;
-        action_note = StrCat("  [partition] shard ", partition_victim,
-                             " partitioned for ", i,
-                             " request(s) (", rerouted,
-                             " re-routed to its ring successor), then "
-                             "rejoined; faults cleared\n");
-        if (rerouted == 0) {
-          result.sound = false;
-          violation(StrCat("phase ", phase.name,
-                           ": no request re-routed around the partitioned "
-                           "shard"));
-        }
-      }
       if (phase.action == ChaosPhase::Action::kCatalogSwapRace &&
           i == options.requests_per_phase / 2) {
         server.ReplaceCatalog(catalog);  // answer-equivalent snapshot
@@ -539,17 +476,9 @@ Result<ChaosDrillResult> RunChaosDrill(
                                 tracer.ToText());
       }
     }
-    if (phase.action == ChaosPhase::Action::kShardPartition &&
-        !phase.faults.empty() && options.requests_per_phase >= 2 &&
-        tally.partial + tally.degraded == 0) {
-      result.sound = false;
-      violation(StrCat("phase ", phase.name,
-                       ": the partition severed a source but no answer "
-                       "degraded per §7"));
-    }
     report += StrCat("phase ", phase.name, ": ",
                      TallyLine(tally, options.requests_per_phase), "\n",
-                     action_note, BreakerLines(server));
+                     action_note, BreakerLine(server.resilience().Snapshot()));
   }
 
   // Recovery: faults cleared, keep serving until every breaker re-closes.
@@ -565,38 +494,32 @@ Result<ChaosDrillResult> RunChaosDrill(
     }
   }
   CatalogWrapper probe_wrapper;
+  ResilienceRegistry& registry = server.resilience();
   size_t rounds = 0;
   size_t probes = 0;
-  while (!server.AllBreakersClosed() &&
-         rounds < options.max_recovery_rounds) {
+  while (!registry.AllClosed() && rounds < options.max_recovery_rounds) {
     ++rounds;
     for (const TslQuery& query : queries) {
       ServeOptions serve;
       serve.seed = rng.NextUint64();
       (void)server.Answer(query, serve);
     }
-    // Each shard's registry is probed independently: organic traffic only
-    // reaches a key's owning shard, so the other shards' breakers depend
-    // on these probes — as shadow replicas depend on a health checker.
-    for (size_t s = 0; s < shards; ++s) {
-      ResilienceRegistry& registry = server.resilience(s);
-      for (const BreakerSnapshot& breaker : registry.Snapshot()) {
-        if (breaker.state == BreakerState::kClosed) continue;
-        auto cap = endpoint_caps.find(breaker.endpoint);
-        if (cap == endpoint_caps.end()) continue;
-        if (!registry.Admit(breaker.endpoint).allowed) continue;
-        ++probes;
-        Result<WrapperResult> fetched =
-            probe_wrapper.Fetch(*cap->second, catalog);
-        if (fetched.ok()) {
-          registry.RecordSuccess(breaker.endpoint, /*latency_ticks=*/0);
-        } else {
-          registry.RecordFailure(breaker.endpoint);
-        }
+    for (const BreakerSnapshot& breaker : registry.Snapshot()) {
+      if (breaker.state == BreakerState::kClosed) continue;
+      auto cap = endpoint_caps.find(breaker.endpoint);
+      if (cap == endpoint_caps.end()) continue;
+      if (!registry.Admit(breaker.endpoint).allowed) continue;
+      ++probes;
+      Result<WrapperResult> fetched =
+          probe_wrapper.Fetch(*cap->second, catalog);
+      if (fetched.ok()) {
+        registry.RecordSuccess(breaker.endpoint, /*latency_ticks=*/0);
+      } else {
+        registry.RecordFailure(breaker.endpoint);
       }
     }
   }
-  const bool all_closed = server.AllBreakersClosed();
+  const bool all_closed = registry.AllClosed();
   if (!all_closed) {
     result.recovered = false;
     violation(StrCat("recovery: breakers still open after ", rounds,
@@ -630,11 +553,8 @@ Result<ChaosDrillResult> RunChaosDrill(
       "; plan cache ", cache_retained ? "retained" : "LOST", " (",
       final_entries, " entr", final_entries == 1 ? "y" : "ies", ")\n");
   report += "final breakers:\n";
-  for (size_t s = 0; s < shards; ++s) {
-    for (const BreakerSnapshot& breaker : server.resilience(s).Snapshot()) {
-      report += StrCat("  ", shards > 1 ? StrCat("s", s, " ") : "",
-                       breaker.ToString(), "\n");
-    }
+  for (const BreakerSnapshot& breaker : registry.Snapshot()) {
+    report += StrCat("  ", breaker.ToString(), "\n");
   }
   report += StrCat("verdict: ", result.sound ? "SOUND" : "UNSOUND", ", ",
                    result.recovered ? "RECOVERED" : "NOT-RECOVERED", "\n");

@@ -35,18 +35,8 @@ struct ChaosPhase {
     /// Block every worker inside a fetch, fill the bounded queue, and
     /// prove overflow rejects deterministically with kResourceExhausted
     /// while the retry-after hint reports the queued backlog; then release
-    /// the gate and drain everything. Requires a single-shard drill (the
-    /// saturation arithmetic assumes one pool); multi-shard scripts use
-    /// kShardPartition instead.
+    /// the gate and drain everything.
     kPoolSaturation,
-    /// Cluster drills only (ChaosOptions::cluster_shards > 1): partition
-    /// the shard owning the first drill query — its keys re-route to the
-    /// ring successor — while the phase's faults sever a source, so
-    /// answers degrade per §7 (sound, roots ⊆ baseline); halfway through
-    /// the phase the shard rejoins and the faults clear, and the standard
-    /// recovery checks then prove answers return to the byte-identical
-    /// baseline with the plan caches retained.
-    kShardPartition,
   };
 
   std::string name;
@@ -80,11 +70,6 @@ struct ChaosOptions {
   /// Fault-free request rounds allowed for every breaker to re-close
   /// after the scripted phases before the drill declares non-recovery.
   size_t max_recovery_rounds = 16;
-  /// QueryServer shards behind the drilled ShardRouter. 1 (the default)
-  /// drills the single-shard cluster, which answers byte-identically to a
-  /// plain QueryServer; > 1 makes StandardChaosScript swap the
-  /// pool-saturation phase for the shard-partition/rejoin phase.
-  size_t cluster_shards = 1;
 };
 
 /// \brief The outcome of one drill. `report` (and `traces`) are built only
@@ -113,19 +98,16 @@ struct ChaosDrillResult {
 /// \brief The standard drill script: baseline, endpoint flap (a dead
 /// capability view), latency storm (slow replies on a view, provoking
 /// hedges and deadline pressure), flaky network, index corruption
-/// mid-drill, answer-equivalent snapshot swap race, and pool saturation —
-/// or, when options.cluster_shards > 1, a shard partition/rejoin phase in
-/// saturation's place. Targets and magnitudes are drawn deterministically
-/// from options.seed, preferring views of replicated sources (so failover
-/// and hedging have somewhere to go).
+/// mid-drill, answer-equivalent snapshot swap race, and pool saturation.
+/// Targets and magnitudes are drawn deterministically from options.seed,
+/// preferring views of replicated sources (so failover and hedging have
+/// somewhere to go).
 std::vector<ChaosPhase> StandardChaosScript(
     const std::vector<SourceDescription>& sources,
     const ChaosOptions& options);
 
-/// \brief Runs \p script against a live ShardRouter (with
-/// options.cluster_shards QueryServer shards — one by default, which is
-/// answer-identical to a plain QueryServer) over \p sources / \p catalog
-/// and checks the drill invariants:
+/// \brief Runs \p script against a live QueryServer over \p sources /
+/// \p catalog and checks the drill invariants:
 ///
 ///  1. soundness — every answer's roots ⊆ the fault-free baseline's, and
 ///     complete answers are byte-identical to it;

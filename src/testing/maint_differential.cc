@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "common/string_util.h"
 #include "constraints/dtd.h"
 #include "constraints/inference.h"
@@ -256,16 +255,13 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
 
   // --- Replay one arm. ---
   auto run_arm = [&](MaintenanceMode mode) -> Result<ArmResult> {
-    ServerOptions server = options.server;
-    server.maintenance = mode;
-    server.threads = std::max(server.threads, parallelism);
-    ClusterOptions cluster;
-    cluster.shards = std::max<size_t>(options.shards, 1);
-    cluster.server = server;
+    ServerOptions server_options = options.server;
+    server_options.maintenance = mode;
+    server_options.threads = std::max(server_options.threads, parallelism);
     Result<Mediator> made =
         Mediator::Make({SourceDescription{"db", initial}});
     if (!made.ok()) return made.status();
-    ShardRouter router(std::move(made).ValueOrDie(), catalog, cluster);
+    QueryServer server(std::move(made).ValueOrDie(), catalog, server_options);
 
     ArmResult arm;
     for (const DrillStep& step : script) {
@@ -274,7 +270,7 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
           step.with_constraints ? &constraints : nullptr);
       if (next.ok()) {
         arm.reports.push_back(
-            router.ReplaceMediator(std::move(next).ValueOrDie()));
+            server.ReplaceMediator(std::move(next).ValueOrDie()));
       } else {
         // A rejected catalog is skipped — deterministically, in both arms
         // — and recorded so the arms must agree on the rejection too.
@@ -290,7 +286,7 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
           Tracer tracer(nullptr);
           serve.tracer = &tracer;
           Result<ServeResponse> response =
-              router.Answer(queries[query_index], serve);
+              server.Answer(queries[query_index], serve);
           arm.observations.push_back(
               RenderObservation(queries[query_index], seed, response,
                                 NormalizeMaintTrace(tracer.ToText())));
@@ -307,10 +303,10 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
           tracers.push_back(std::make_unique<Tracer>(nullptr));
           serve.tracer = tracers.back().get();
           auto submitted =
-              router.Submit(queries[query_index], std::move(serve));
+              server.Submit(queries[query_index], std::move(serve));
           if (!submitted.ok()) {
             return Status::Internal(
-                StrCat("maint drill overflowed a shard queue: ",
+                StrCat("maint drill overflowed the server queue: ",
                        submitted.status().ToString()));
           }
           futures.push_back(std::move(submitted).ValueOrDie());
@@ -324,8 +320,8 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
         }
       }
     }
-    arm.cache_hits = router.stats().TotalPlanCache().hits;
-    router.Shutdown();
+    arm.cache_hits = server.stats().plan_cache.hits;
+    server.Shutdown();
     return arm;
   };
 

@@ -18,11 +18,8 @@ struct MaintDrillOptions {
   /// Drives the catalog-mutation script, the query fixtures, and every
   /// request seed.
   uint64_t seed = 0;
-  /// QueryServer shards behind the drilled ShardRouter (1 = the
-  /// single-shard cluster, answer-identical to a plain QueryServer).
-  size_t shards = 1;
   /// Request parallelism per step: 1 issues synchronously, > 1 submits
-  /// that many requests to the shard pools concurrently (worker threads
+  /// that many requests to the server pool concurrently (worker threads
   /// are sized to match). Either way observations are recorded in
   /// submission order, so parallelism cannot reorder the comparison.
   size_t parallelism = 1;
@@ -54,8 +51,8 @@ struct MaintDrillResult {
   size_t entries_examined = 0;
   size_t entries_invalidated = 0;
   size_t entries_retained = 0;
-  /// Cluster-wide plan-cache hits after the replay, per arm: retention
-  /// converts the flush arm's cold misses into warm hits.
+  /// Plan-cache hits after the replay, per arm: retention converts the
+  /// flush arm's cold misses into warm hits.
   uint64_t selective_hits = 0;
   uint64_t flush_hits = 0;
 };
@@ -72,7 +69,7 @@ std::string NormalizeMaintTrace(const std::string& trace);
 
 /// \brief Replays one seeded catalog-mutation + query script twice — once
 /// with MaintenanceMode::kSelective, once with kFullFlush — against
-/// otherwise identical ShardRouters, and compares every observable of
+/// otherwise identical QueryServers, and compares every observable of
 /// every request byte-for-byte (modulo cache-hit attribution, which the
 /// two arms differ on by design). The script mutates the catalog between
 /// request bursts: no-op swaps, α-renamings of a view's variables, view

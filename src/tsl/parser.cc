@@ -10,19 +10,6 @@ namespace tslrw {
 
 namespace {
 
-/// How deep object patterns and function terms may nest, counted together.
-/// The parser and every pass over the AST recurse once per level, so an
-/// unbounded depth would let a short input exhaust the stack; real rules
-/// nest a handful of levels.
-constexpr int kMaxNestingDepth = 512;
-
-/// Fails with a positioned ParseError once \p depth exceeds the bound.
-Status CheckDepth(const TokenCursor& cur, int depth) {
-  if (depth <= kMaxNestingDepth) return Status::OK();
-  return cur.ErrorHere(StrCat("patterns and terms nest deeper than ",
-                              kMaxNestingDepth, " levels"));
-}
-
 bool LooksLikeVariable(const std::string& ident) {
   return !ident.empty() && std::isupper(static_cast<unsigned char>(ident[0]));
 }

@@ -148,6 +148,26 @@ TEST(ChaosDrillTest, StandardDrillIsSoundAndRecovers) {
       << drill->report;
 }
 
+TEST(ChaosDrillTest, PoolSaturationParksAPoolWiderThanItsQueue) {
+  // Regression: with fewer queue slots than workers, submitting every
+  // worker's request at once could outrun the workers' pops; the queue
+  // rejected the excess and the drill waited forever for those workers
+  // to park.
+  const std::vector<SourceDescription> sources = DrillSources();
+  ChaosOptions options = SmallDrill(5);
+  options.server.threads = 8;
+  options.server.queue_capacity = 2;
+  auto drill = RunChaosDrill(sources, DrillCatalog(), DrillQueries(),
+                             StandardChaosScript(sources, options), options);
+  ASSERT_TRUE(drill.ok()) << drill.status();
+  EXPECT_TRUE(drill->sound) << drill->report;
+  EXPECT_TRUE(drill->recovered) << drill->report;
+  EXPECT_NE(drill->report.find("[pool] 8 worker(s) parked, 2 queued, 3 "
+                               "overflow rejection(s)"),
+            std::string::npos)
+      << drill->report;
+}
+
 TEST(ChaosDrillTest, CustomScriptOutagePhaseDegradesThenRecovers) {
   // A hand-written two-phase script: kill the replicated source outright,
   // then hand control back to the harness's fault-free recovery loop. The

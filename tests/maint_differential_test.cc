@@ -35,14 +35,6 @@ TEST(MaintDifferentialTest, SelectiveMatchesFullFlushUnderParallelism) {
   ExpectIdentical(options);
 }
 
-TEST(MaintDifferentialTest, SelectiveMatchesFullFlushAcrossShards) {
-  MaintDrillOptions options;
-  options.seed = 23;
-  options.shards = 4;
-  options.parallelism = 8;
-  ExpectIdentical(options);
-}
-
 TEST(MaintDifferentialTest, SelectiveArmActuallyRetainsEntries) {
   // The drill is only a meaningful oracle if the selective arm keeps a
   // real fraction of the cache across mutations — otherwise it degenerates

@@ -163,6 +163,24 @@ TEST(ParserRobustnessTest, NestingDepthIsBoundedWithAPositionedError) {
 
   // Programs go through the same parser.
   EXPECT_FALSE(ParseTslProgram("<" + term + " out yes> :- <P a V>@s").ok());
+
+  // OEM data shares the bound: nested objects, a nested oid, and a
+  // standalone ground term.
+  std::string objects;
+  for (int d = 0; d < kDepth; ++d) objects += "<o l {";
+  auto deep_objects = ParseOemDatabase("database d {\n  " + objects);
+  std::string oid;
+  for (int d = 0; d < kDepth; ++d) oid += "f(";
+  oid += "a" + std::string(kDepth, ')');
+  auto deep_oid = ParseOemDatabase("database d {\n  <" + oid + " l v> }");
+  auto deep_ground = ParseGroundTerm("\n" + oid);
+  for (const Status& status :
+       {deep_objects.status(), deep_oid.status(), deep_ground.status()}) {
+    EXPECT_TRUE(status.IsParseError()) << status;
+    EXPECT_NE(status.message().find("2:"), std::string::npos) << status;
+    EXPECT_NE(status.message().find("nest deeper"), std::string::npos)
+        << status;
+  }
 }
 
 TEST(ParserRobustnessTest, DeepOemOidParsesQuickly) {

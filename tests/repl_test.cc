@@ -361,56 +361,6 @@ TEST_F(ReplTest, ServeRoutesMutationsThroughSnapshotSwaps) {
   EXPECT_NE(stats.find("1 mediator swap(s)"), std::string::npos) << stats;
 }
 
-TEST_F(ReplTest, ClusterRoutesServesAndReplicatesMutations) {
-  Prepare();
-  EXPECT_NE(Run("cluster Q").find("no cluster running"), std::string::npos);
-  EXPECT_NE(Run("cluster start").find("no capabilities"), std::string::npos);
-  Run("capability db (Dump) <d(P') p {<X' Y' Z'>}> :- "
-      "<P' p {<X' Y' Z'>}>@db");
-  EXPECT_NE(Run("cluster start shards 3 threads 2 queue 16 cache 8")
-                .find("cluster of 3 shard(s)"),
-            std::string::npos);
-  EXPECT_NE(Run("cluster start").find("already running"), std::string::npos);
-
-  std::string cold = Run("cluster Q");
-  EXPECT_NE(cold.find("f(p1)"), std::string::npos) << cold;
-  EXPECT_NE(cold.find("routed to shard"), std::string::npos) << cold;
-  EXPECT_NE(cold.find("plan cache: miss"), std::string::npos) << cold;
-  std::string warm = Run("cluster Q seed 7");
-  EXPECT_NE(warm.find("plan cache: hit"), std::string::npos) << warm;
-
-  // Redefining the source replicates a snapshot swap to every shard; the
-  // owning shard's cached plan survives and serves the fresh data.
-  std::string redefine =
-      Run("source database db { <p3 p { <n3 name ann> }> }");
-  EXPECT_NE(redefine.find("published"), std::string::npos) << redefine;
-  std::string after = Run("cluster Q");
-  EXPECT_NE(after.find("f(p3)"), std::string::npos) << after;
-  EXPECT_EQ(after.find("f(p1)"), std::string::npos) << after;
-  EXPECT_NE(after.find("plan cache: hit"), std::string::npos) << after;
-
-  // A genuine capability change replaces every shard's mediator, and the
-  // selective-maintenance delta (one added view usable by Q) invalidates
-  // the cached plan on every shard: the next serving replans.
-  EXPECT_NE(Run("capability db (Dump2) <d2(P') p {<X' Y' Z'>}> :- "
-                "<P' p {<X' Y' Z'>}>@db")
-                .find("cluster mediator replaced"),
-            std::string::npos);
-  std::string replanned = Run("cluster Q");
-  EXPECT_NE(replanned.find("plan cache: miss"), std::string::npos)
-      << replanned;
-
-  std::string statsz = Run("cluster stats");
-  EXPECT_NE(statsz.find("cluster: 3 shard(s)"), std::string::npos) << statsz;
-  EXPECT_NE(statsz.find("shard 0:"), std::string::npos) << statsz;
-  EXPECT_NE(statsz.find("cluster.requests"), std::string::npos) << statsz;
-  // `stats` (the session command) folds the router counters in too.
-  EXPECT_NE(Run("stats").find("cluster: 3 shard(s)"), std::string::npos);
-
-  EXPECT_NE(Run("cluster stop").find("cluster stopped"), std::string::npos);
-  EXPECT_NE(Run("cluster").find("usage"), std::string::npos);
-}
-
 TEST_F(ReplTest, CompileAnalyzesTheCatalogAndAttachesToTheServer) {
   // Nothing declared yet: compile has no catalog to work on.
   EXPECT_NE(Run("compile").find("no capabilities or views"),
@@ -434,20 +384,13 @@ TEST_F(ReplTest, CompileAnalyzesTheCatalogAndAttachesToTheServer) {
   EXPECT_NE(loaded.find("TSL201"), std::string::npos) << loaded;
   EXPECT_NE(loaded.find("compiled 2 view(s)"), std::string::npos) << loaded;
 
-  // A running server ingests the freshly compiled index; a running
-  // cluster replicates it to every shard.
+  // A running server ingests the freshly compiled index.
   Run("serve start");
-  Run("cluster start shards 2");
   std::string attached = Run("compile");
   EXPECT_NE(attached.find("index attached to the running server"),
             std::string::npos)
       << attached;
-  EXPECT_NE(attached.find("index replicated to every cluster shard"),
-            std::string::npos)
-      << attached;
   EXPECT_NE(Run("serve Q").find("f(p1)"), std::string::npos);
-  EXPECT_NE(Run("cluster Q").find("f(p1)"), std::string::npos);
-  Run("cluster stop");
   Run("serve stop");
 }
 

@@ -665,6 +665,37 @@ TEST(QueryServerTest, InvalidatePlansKeepsCacheCountersMonotonic) {
   EXPECT_EQ(server.stats().plan_cache.hits, 1u);
 }
 
+TEST(QueryServerTest, StatszExposesPerCacheShardLines) {
+  ServerOptions options;
+  options.threads = 1;
+  options.plan_cache_shards = 4;
+  MetricRegistry metrics;
+  options.metrics = &metrics;
+  QueryServer server(MakeBiblioMediator(), BiblioCatalog(), options);
+  ASSERT_TRUE(server.Answer(Sigmod97Query()).ok());
+  ASSERT_TRUE(server.Answer(Sigmod97Query()).ok());  // a hit
+
+  // The per-cache-shard breakdown sums to the aggregate.
+  const ServerStats stats = server.stats();
+  ASSERT_EQ(stats.plan_cache_shards.size(), 4u);
+  uint64_t hits = 0, misses = 0;
+  size_t entries = 0;
+  for (const PlanCacheStats& cache_shard : stats.plan_cache_shards) {
+    hits += cache_shard.hits;
+    misses += cache_shard.misses;
+    entries += cache_shard.entries;
+  }
+  EXPECT_EQ(hits, stats.plan_cache.hits);
+  EXPECT_EQ(misses, stats.plan_cache.misses);
+  EXPECT_EQ(entries, stats.plan_cache.entries);
+  EXPECT_EQ(stats.plan_cache.hits, 1u);
+  EXPECT_EQ(stats.plan_cache.misses, 1u);
+
+  const std::string statsz = server.Statsz();
+  EXPECT_NE(statsz.find("cache shard 0:"), std::string::npos) << statsz;
+  EXPECT_NE(statsz.find("metrics:"), std::string::npos) << statsz;
+}
+
 TEST(QueryServerTest, RequestsUnderConcurrentSwapsSeeAConsistentSnapshot) {
   // Readers hammer the server while a writer republishes the catalog;
   // every answer must match one of the two catalog states, never a blend.
