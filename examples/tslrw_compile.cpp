@@ -88,8 +88,8 @@ std::map<std::string, std::set<std::string>> ParseBindDirectives(
 void PrintLattice(const tslrw::CompiledCatalog& catalog,
                   const std::string& name) {
   for (const tslrw::CatalogLatticeEdge& edge : catalog.lattice()) {
-    const std::string& sub = catalog.entries()[edge.subsumed].name;
-    const std::string& sup = catalog.entries()[edge.subsuming].name;
+    const std::string& sub = catalog.index().views()[edge.subsumed].name;
+    const std::string& sup = catalog.index().views()[edge.subsuming].name;
     std::printf("%s: lattice: %s %s %s\n", name.c_str(), sub.c_str(),
                 edge.equivalent ? "==" : "<=", sup.c_str());
   }

@@ -90,13 +90,14 @@ int main(int argc, char** argv) {
     retained += result.entries_retained;
     std::printf(
         "seed %llu: %s; selective examined %zu / invalidated %zu / "
-        "retained %zu; cache hits %llu (selective) vs %llu (full flush)\n",
+        "retained %zu; plans reused %llu (selective) vs %llu (full "
+        "flush)\n",
         static_cast<unsigned long long>(seed),
         result.identical ? "byte-identical" : "DIVERGED",
         result.entries_examined, result.entries_invalidated,
         result.entries_retained,
-        static_cast<unsigned long long>(result.selective_hits),
-        static_cast<unsigned long long>(result.flush_hits));
+        static_cast<unsigned long long>(result.selective_reused),
+        static_cast<unsigned long long>(result.flush_reused));
     if (print_report) std::fputs(result.report.c_str(), stdout);
     for (const std::string& divergence : result.divergences) {
       std::fprintf(stderr, "seed %llu: %s\n",

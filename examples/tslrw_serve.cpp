@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   size_t threads = 4;
   size_t requests = 200;  // per client
   size_t queue = 256;
-  size_t par = 0;  // rewrite parallelism; 0 = hardware concurrency
+  size_t par = 1;  // rewrite parallelism; 0 = hardware concurrency
   bool faults = false;
   for (int i = 1; i < argc; ++i) {
     auto number = [&](const char* flag) -> size_t {

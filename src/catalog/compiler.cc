@@ -7,16 +7,15 @@
 #include <utility>
 
 #include "analysis/analyzer.h"
-#include "catalog/signature.h"
 #include "common/string_util.h"
 #include "equiv/equivalence.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewrite/chase.h"
+#include "rewrite/signature.h"
+#include "rewrite/view_index.h"
 #include "tsl/canonical.h"
 #include "tsl/normal_form.h"
-#include "tsl/parser.h"
-#include "tsl/validate.h"
 
 namespace tslrw {
 
@@ -31,16 +30,6 @@ Diagnostic MakeDiag(DiagCode code, SourceSpan span, std::string rule,
   d.rule = std::move(rule);
   d.message = std::move(message);
   return d;
-}
-
-/// \p required is sorted; \p provided is a set. True iff every required
-/// feature is provided.
-bool FeaturesSubset(const std::vector<std::string>& required,
-                    const std::set<std::string>& provided) {
-  for (const std::string& r : required) {
-    if (provided.count(r) == 0) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -70,184 +59,62 @@ std::vector<SourceDescription> DescribeViews(
 }
 
 Result<std::shared_ptr<const CompiledCatalog>> CompiledCatalog::Assemble(
-    std::vector<CompiledViewEntry> entries,
+    ViewIndex index, std::vector<CompiledViewEntry> entries,
     std::vector<CatalogLatticeEdge> lattice, bool lattice_truncated,
     std::vector<Diagnostic> diagnostics, uint64_t constraints_fingerprint) {
-  std::shared_ptr<CompiledCatalog> catalog(new CompiledCatalog());
+  const size_t n = index.views().size();
+  if (entries.size() != n) {
+    return Status::DataLoss(
+        StrCat("compiled catalog holds ", entries.size(),
+               " view record(s) for an index of ", n, " view(s)"));
+  }
+  for (const CatalogLatticeEdge& edge : lattice) {
+    if (edge.subsumed >= n || edge.subsuming >= n) {
+      return Status::DataLoss("lattice edge names a view ordinal outside the "
+                              "catalog");
+    }
+  }
+  std::shared_ptr<CompiledCatalog> catalog(
+      new CompiledCatalog(std::move(index)));
   catalog->entries_ = std::move(entries);
   catalog->lattice_ = std::move(lattice);
   catalog->lattice_truncated_ = lattice_truncated;
   catalog->constraints_fingerprint_ = constraints_fingerprint;
   SortDiagnostics(&diagnostics);
   catalog->diagnostics_ = std::move(diagnostics);
-
-  const size_t n = catalog->entries_.size();
-  catalog->chased_views_.resize(n);
   // The fingerprint covers what ValidateAgainst checks: the view identities
   // (name + α-invariant definition + binding pattern, in order) and the
   // constraints. Two catalogs agreeing here are interchangeable indexes.
   std::string identity = StrCat("tslrw-catalog:", constraints_fingerprint);
   for (size_t i = 0; i < n; ++i) {
-    CompiledViewEntry& e = catalog->entries_[i];
-    identity +=
-        StrCat("|", e.name, ";", e.raw_fingerprint, ";",
-               Join(e.bound_variables, ","));
-    if (e.state == CompiledViewState::kInvalid) catalog->servable_ = false;
-    if (!e.name.empty() &&
-        !catalog->by_name_.emplace(e.name, static_cast<uint32_t>(i)).second) {
-      return Status::DataLoss(
-          StrCat("compiled catalog holds view ", e.name, " twice"));
-    }
-    switch (e.state) {
-      case CompiledViewState::kIndexed: {
-        Result<TslQuery> parsed = ParseTslQuery(e.chased_text, e.name);
-        if (!parsed.ok()) {
-          return Status::DataLoss(
-              StrCat("stored chase outcome of view ", e.name,
-                     " does not parse: ", parsed.status().message()));
-        }
-        catalog->chased_views_[i] = std::move(parsed).value();
-        if (e.anchor.empty()) {
-          // No required features: the view maps into anything (e.g. an
-          // empty body), so every probe must admit it.
-          catalog->always_admit_.push_back(static_cast<uint32_t>(i));
-        } else if (!std::binary_search(e.required.begin(), e.required.end(),
-                                       e.anchor)) {
-          return Status::DataLoss(
-              StrCat("anchor of view ", e.name,
-                     " is not one of its required features"));
-        } else {
-          catalog->anchor_buckets_[e.anchor].push_back(
-              static_cast<uint32_t>(i));
-        }
-        break;
-      }
-      case CompiledViewState::kAlwaysScan:
-        catalog->always_admit_.push_back(static_cast<uint32_t>(i));
-        break;
-      case CompiledViewState::kUnsatisfiable:
-      case CompiledViewState::kInvalid:
-        break;
-    }
-  }
-  for (const CatalogLatticeEdge& edge : catalog->lattice_) {
-    if (edge.subsumed >= n || edge.subsuming >= n) {
-      return Status::DataLoss("lattice edge names a view ordinal outside the "
-                              "catalog");
-    }
+    const CompiledViewEntry& e = catalog->entries_[i];
+    identity += StrCat("|", catalog->index_.views()[i].name, ";",
+                       e.raw_fingerprint, ";",
+                       Join(e.bound_variables, ","));
   }
   catalog->catalog_fingerprint_ = StableFingerprint(identity);
   return std::shared_ptr<const CompiledCatalog>(std::move(catalog));
 }
 
-bool CompiledCatalog::CoversViews(const std::vector<TslQuery>& views) const {
-  if (!servable_ || views.size() != entries_.size()) return false;
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (views[i].name != entries_[i].name) return false;
-  }
-  return true;
-}
-
-Result<std::optional<std::vector<TslQuery>>> CompiledCatalog::ChasedViewsFor(
-    const TslQuery& chased_query, const std::vector<TslQuery>& views,
-    const ChaseOptions& chase_options, ViewProbeOutcome* outcome) const {
-  if (!CoversViews(views)) return std::optional<std::vector<TslQuery>>();
-  TSLRW_ASSIGN_OR_RETURN(QueryFeatureSet features,
-                         ProvidedFeatures(chased_query));
-
-  std::vector<char> admit(entries_.size(), 0);
-  for (uint32_t o : always_admit_) admit[o] = 1;
-  // Bucket probe: a view can have a mapping into the query only if all of
-  // its required features are provided, so checking the buckets of the
-  // provided features alone loses nothing — a view in an unprobed bucket is
-  // missing its anchor feature.
-  for (const std::string& f : features.provided) {
-    auto it = anchor_buckets_.find(f);
-    if (it == anchor_buckets_.end()) continue;
-    for (uint32_t o : it->second) {
-      if (!admit[o] && FeaturesSubset(entries_[o].required, features.provided)) {
-        admit[o] = 1;
-      }
-    }
-  }
-  // Force-include pass: composition resolves view names appearing as body
-  // sources from the view list we return, so any view the query names — or
-  // that an admitted view's own source names, transitively — must stay in
-  // the list even with no mapping (it contributes no candidate atoms either
-  // way, so admitting it is byte-neutral; dropping it would change what
-  // composition unfolds). Unsatisfiable views stay out: the full scan
-  // drops them before composition too.
-  std::vector<uint32_t> work;
-  std::vector<char> visited(entries_.size(), 0);
-  for (const std::string& s : features.sources) {
-    auto it = by_name_.find(s);
-    if (it != by_name_.end()) work.push_back(it->second);
-  }
-  for (uint32_t o = 0; o < entries_.size(); ++o) {
-    if (admit[o]) work.push_back(o);
-  }
-  while (!work.empty()) {
-    const uint32_t o = work.back();
-    work.pop_back();
-    if (visited[o]) continue;
-    visited[o] = 1;
-    if (entries_[o].state == CompiledViewState::kIndexed) admit[o] = 1;
-    auto it = by_name_.find(entries_[o].source);
-    if (it != by_name_.end()) work.push_back(it->second);
-  }
-
-  std::vector<TslQuery> result;
-  size_t skipped = 0;
-  for (uint32_t o = 0; o < entries_.size(); ++o) {
-    if (admit[o] == 0) {
-      // Signature-pruned (kIndexed) or proven empty offline
-      // (kUnsatisfiable): the full scan would have found no mapping /
-      // dropped the view, so skipping is exact.
-      ++skipped;
-      continue;
-    }
-    if (entries_[o].state == CompiledViewState::kIndexed) {
-      result.push_back(chased_views_[o]);
-    } else {
-      // kAlwaysScan: chase per query, exactly as the full scan does. The
-      // options are the compile-time options by the ValidateAgainst
-      // contract, so errors and unsatisfiability surface identically.
-      Result<TslQuery> cv = ChaseQuery(views[o], chase_options);
-      if (!cv.ok()) {
-        if (cv.status().IsUnsatisfiable()) {
-          ++skipped;
-          continue;
-        }
-        return cv.status();
-      }
-      result.push_back(std::move(cv).value());
-    }
-  }
-  if (outcome != nullptr) {
-    outcome->admitted = result.size();
-    outcome->skipped = skipped;
-  }
-  return std::optional<std::vector<TslQuery>>(std::move(result));
-}
-
 Status CompiledCatalog::ValidateAgainst(
     const std::vector<TslQuery>& views,
     const StructuralConstraints* constraints) const {
-  if (!servable_) {
+  const std::vector<IndexedView>& indexed = index_.views();
+  if (!index_.servable()) {
     return Status::InvalidArgument(
         "compiled catalog is unservable: a view failed validation at "
         "compile time");
   }
-  if (views.size() != entries_.size()) {
+  if (views.size() != indexed.size()) {
     return Status::InvalidArgument(
-        StrCat("catalog index was compiled for ", entries_.size(),
-               " view(s) but the mediator serves ", views.size()));
+        StrCat("catalog index was compiled for ", indexed.size(),
+               " view(s) but the catalog has ", views.size()));
   }
   for (size_t i = 0; i < views.size(); ++i) {
-    if (views[i].name != entries_[i].name) {
+    if (views[i].name != indexed[i].name) {
       return Status::InvalidArgument(
-          StrCat("catalog index view ", i, " is ", entries_[i].name,
-                 " but the mediator serves ", views[i].name));
+          StrCat("catalog index view ", i, " is ", indexed[i].name,
+                 " but the catalog has ", views[i].name));
     }
     if (CanonicalizeQuery(views[i]).fingerprint !=
         entries_[i].raw_fingerprint) {
@@ -273,12 +140,12 @@ size_t CompiledCatalog::error_count() const {
 
 std::string CompiledCatalog::Summary() const {
   size_t indexed = 0, always = 0, unsat = 0, invalid = 0;
-  for (const CompiledViewEntry& e : entries_) {
+  for (const IndexedView& e : index_.views()) {
     switch (e.state) {
-      case CompiledViewState::kIndexed: ++indexed; break;
-      case CompiledViewState::kAlwaysScan: ++always; break;
-      case CompiledViewState::kUnsatisfiable: ++unsat; break;
-      case CompiledViewState::kInvalid: ++invalid; break;
+      case IndexedViewState::kIndexed: ++indexed; break;
+      case IndexedViewState::kAlwaysScan: ++always; break;
+      case IndexedViewState::kUnsatisfiable: ++unsat; break;
+      case IndexedViewState::kInvalid: ++invalid; break;
     }
   }
   size_t errors = 0, warnings = 0, notes = 0;
@@ -308,114 +175,93 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
 
   std::vector<const Capability*> caps;
   std::vector<std::string> cap_sources;
+  std::vector<TslQuery> views;
   for (const SourceDescription& sd : sources) {
     for (const Capability& cap : sd.capabilities) {
       caps.push_back(&cap);
       cap_sources.push_back(sd.source);
+      views.push_back(cap.view);
     }
   }
   const size_t n = caps.size();
   compile_span.Annotate("views", static_cast<uint64_t>(n));
 
-  // Mirror RewriteQuery's chase options exactly: the constraints describe
-  // source data, never view answer objects, so every view name is exempt.
-  // The stored chase outcomes are only valid under these options, which is
-  // why ValidateAgainst pins the (views, constraints) pair.
+  // The containment tests below chase under RewriteQuery's view options:
+  // the constraints describe source data, never view answer objects, so
+  // every view name is exempt.
   ChaseOptions chase_options;
   chase_options.constraints = constraints;
-  for (const Capability* cap : caps) {
-    chase_options.constraint_exempt_sources.insert(cap->view.name);
+  for (const TslQuery& view : views) {
+    chase_options.constraint_exempt_sources.insert(view.name);
   }
 
+  // The same index a Mediator over these sources builds at Make, except
+  // for the chase budget.
+  ScopedSpan chase_span(options.tracer, "catalog.chase_views");
+  ViewIndex index =
+      ViewIndex::Build(views, constraints, options.max_chase_conditions);
+  chase_span.EndNow();
+  const std::vector<IndexedView>& indexed_views = index.views();
+
   std::vector<CompiledViewEntry> entries(n);
-  std::vector<TslQuery> chased(n);
   std::vector<Diagnostic> diags;
-  {
-    ScopedSpan chase_span(options.tracer, "catalog.chase_views");
-    for (size_t i = 0; i < n; ++i) {
-      const TslQuery& view = caps[i]->view;
-      CompiledViewEntry& e = entries[i];
-      e.name = view.name;
-      e.source = cap_sources[i];
-      e.raw_fingerprint = CanonicalizeQuery(view).fingerprint;
-      e.bound_variables.assign(caps[i]->bound_variables.begin(),
-                               caps[i]->bound_variables.end());
+  for (size_t i = 0; i < n; ++i) {
+    const TslQuery& view = views[i];
+    const IndexedView& iv = indexed_views[i];
+    CompiledViewEntry& e = entries[i];
+    e.source = cap_sources[i];
+    e.raw_fingerprint = CanonicalizeQuery(view).fingerprint;
+    e.bound_variables.assign(caps[i]->bound_variables.begin(),
+                             caps[i]->bound_variables.end());
 
-      // TSL203: the mediator delivers a parameter by splicing the constant
-      // into the capability head's instantiation, so a bound variable the
-      // head never mentions can never be supplied — no binding pattern
-      // reaches the capability.
-      for (const std::string& var : caps[i]->bound_variables) {
-        bool in_head = false;
-        for (const Term& v : view.HeadVariables()) {
-          in_head = in_head || v.var_name() == var;
-        }
-        if (!in_head) {
-          diags.push_back(MakeDiag(
-              DiagCode::kUnreachableCapability, view.span, view.name,
-              StrCat("bound variable ", var, " does not occur in the head of ",
-                     view.name,
-                     "; the mediator can never instantiate it, so no "
-                     "admissible binding pattern reaches this capability")));
-        }
+    // TSL203: the mediator delivers a parameter by splicing the constant
+    // into the capability head's instantiation, so a bound variable the
+    // head never mentions can never be supplied — no binding pattern
+    // reaches the capability.
+    for (const std::string& var : caps[i]->bound_variables) {
+      bool in_head = false;
+      for (const Term& v : view.HeadVariables()) {
+        in_head = in_head || v.var_name() == var;
       }
+      if (!in_head) {
+        diags.push_back(MakeDiag(
+            DiagCode::kUnreachableCapability, view.span, view.name,
+            StrCat("bound variable ", var, " does not occur in the head of ",
+                   view.name,
+                   "; the mediator can never instantiate it, so no "
+                   "admissible binding pattern reaches this capability")));
+      }
+    }
 
-      if (!ValidateQuery(view).ok() || view.name.empty() ||
-          UsesRegexSteps(view)) {
-        // The per-rule analyzer pass below reports the specifics
-        // (TSL001-TSL004); the catalog just records that its signatures
-        // prove nothing and must not be served.
-        e.state = CompiledViewState::kInvalid;
-        continue;
-      }
-      const TslQuery normal = ToNormalForm(view);
-      if (normal.body.size() > options.max_chase_conditions) {
-        e.state = CompiledViewState::kAlwaysScan;
+    switch (iv.state) {
+      case IndexedViewState::kIndexed:
+        e.chased_fingerprint = CanonicalizeQuery(iv.chased).fingerprint;
+        break;
+      case IndexedViewState::kAlwaysScan:
+        // A hard chase failure fails the compile; only the budget leaves a
+        // healthy view unchased.
+        if (!iv.chase_status.ok()) return iv.chase_status;
         diags.push_back(MakeDiag(
             DiagCode::kChaseBudgetExceeded, view.span, view.name,
             StrCat("normal-form body of ", view.name, " has ",
-                   normal.body.size(), " conditions, over the offline chase "
-                   "budget of ", options.max_chase_conditions,
+                   ToNormalForm(view).body.size(),
+                   " conditions, over the offline chase budget of ",
+                   options.max_chase_conditions,
                    "; the view will be chased per query instead")));
-        continue;
-      }
-      Result<TslQuery> cv = ChaseQuery(view, chase_options);
-      if (!cv.ok()) {
-        if (!cv.status().IsUnsatisfiable()) return cv.status();
-        e.state = CompiledViewState::kUnsatisfiable;
+        break;
+      case IndexedViewState::kUnsatisfiable:
         diags.push_back(MakeDiag(
             DiagCode::kViewUnsatisfiable, view.span, view.name,
             StrCat("chase proves ", view.name, " empty under the catalog's "
-                   "constraints (", cv.status().message(),
+                   "constraints (", iv.chase_status.message(),
                    "); the view can contribute no rewriting and is dropped "
                    "from the compiled index")));
-        continue;
-      }
-      e.state = CompiledViewState::kIndexed;
-      chased[i] = std::move(cv).value();
-      e.chased_text = chased[i].ToString();
-      e.chased_fingerprint = CanonicalizeQuery(chased[i]).fingerprint;
-      TSLRW_ASSIGN_OR_RETURN(e.required, RequiredFeatures(chased[i]));
-    }
-  }
-
-  // Anchor choice: file each indexed view under its catalog-wide rarest
-  // required feature, so bucket sizes — and therefore probe cost — track
-  // how discriminating the catalog's structure actually is.
-  {
-    std::map<std::string, size_t> frequency;
-    for (const CompiledViewEntry& e : entries) {
-      if (e.state != CompiledViewState::kIndexed) continue;
-      for (const std::string& f : e.required) ++frequency[f];
-    }
-    for (CompiledViewEntry& e : entries) {
-      if (e.state != CompiledViewState::kIndexed || e.required.empty()) {
-        continue;
-      }
-      e.anchor = e.required.front();
-      for (const std::string& f : e.required) {
-        if (frequency[f] < frequency[e.anchor]) e.anchor = f;
-      }
+        break;
+      case IndexedViewState::kInvalid:
+        // The per-rule analyzer pass below reports the specifics
+        // (TSL001-TSL004); the catalog just records that its signatures
+        // prove nothing and must not be served.
+        break;
     }
   }
 
@@ -423,7 +269,7 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
   // definitions. Every copy after the first (in catalog order) is flagged.
   std::map<uint64_t, std::vector<size_t>> by_fingerprint;
   for (size_t i = 0; i < n; ++i) {
-    if (entries[i].state != CompiledViewState::kInvalid) {
+    if (indexed_views[i].state != IndexedViewState::kInvalid) {
       by_fingerprint[entries[i].raw_fingerprint].push_back(i);
     }
   }
@@ -450,13 +296,14 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
     ScopedSpan lattice_span(options.tracer, "catalog.lattice");
     std::vector<uint32_t> indexed;
     for (size_t i = 0; i < n; ++i) {
-      if (entries[i].state == CompiledViewState::kIndexed) {
+      if (indexed_views[i].state == IndexedViewState::kIndexed) {
         indexed.push_back(static_cast<uint32_t>(i));
       }
     }
     std::vector<std::set<std::string>> provided(n);
     for (uint32_t i : indexed) {
-      TSLRW_ASSIGN_OR_RETURN(QueryFeatureSet qf, ProvidedFeatures(chased[i]));
+      TSLRW_ASSIGN_OR_RETURN(QueryFeatureSet qf,
+                             ProvidedFeatures(indexed_views[i].chased));
       provided[i] = std::move(qf.provided);
     }
     std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
@@ -469,7 +316,9 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
           continue;
         }
         if (truncated) continue;
-        if (!FeaturesSubset(entries[j].required, provided[i])) continue;
+        if (!FeaturesSubset(indexed_views[j].required, provided[i])) {
+          continue;
+        }
         if (tested >= options.max_containment_pairs) {
           truncated = true;
           continue;
@@ -477,12 +326,13 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
         ++tested;
         if (!tester.has_value()) {
           Result<EquivalenceTester> made = EquivalenceTester::Make(
-              TslRuleSet::Single(chased[j]), chase_options);
+              TslRuleSet::Single(indexed_views[j].chased), chase_options);
           if (!made.ok()) return made.status();
           tester.emplace(std::move(made).value());
         }
         TSLRW_ASSIGN_OR_RETURN(
-            bool c, tester->ContainedInReference(TslRuleSet::Single(chased[i])));
+            bool c, tester->ContainedInReference(
+                        TslRuleSet::Single(indexed_views[i].chased)));
         if (c) contained[i][j] = true;
       }
     }
@@ -506,10 +356,11 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
         diags.push_back(MakeDiag(
             DiagCode::kViewSubsumed, view.span, view.name,
             contained[j][i]
-                ? StrCat(view.name, " is equivalent to ", entries[j].name,
+                ? StrCat(view.name, " is equivalent to ",
+                         indexed_views[j].name,
                          " under the catalog's constraints; it only widens "
                          "the rewriting search")
-                : StrCat(view.name, " is subsumed by ", entries[j].name,
+                : StrCat(view.name, " is subsumed by ", indexed_views[j].name,
                          ": every answer it contributes is already produced "
                          "there, so it only widens the rewriting search")));
         break;
@@ -530,32 +381,30 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
     analyzer_options.constraint_exempt_sources =
         chase_options.constraint_exempt_sources;
     analyzer_options.detect_dead_views = false;
-    std::vector<TslQuery> views;
-    views.reserve(n);
-    for (const Capability* cap : caps) views.push_back(cap->view);
     AnalysisReport report = Analyzer(analyzer_options).AnalyzeRules(views);
     diags.insert(diags.end(), report.diagnostics.begin(),
                  report.diagnostics.end());
   }
 
   Result<std::shared_ptr<const CompiledCatalog>> catalog =
-      CompiledCatalog::Assemble(std::move(entries), std::move(lattice),
-                                truncated, std::move(diags),
+      CompiledCatalog::Assemble(std::move(index), std::move(entries),
+                                std::move(lattice), truncated,
+                                std::move(diags),
                                 ConstraintsFingerprint(constraints));
   if (catalog.ok()) {
     const CompiledCatalog& c = **catalog;
-    size_t indexed_views = 0;
-    for (const CompiledViewEntry& e : c.entries()) {
-      if (e.state == CompiledViewState::kIndexed) ++indexed_views;
+    size_t indexed_count = 0;
+    for (const IndexedView& e : c.index().views()) {
+      if (e.state == IndexedViewState::kIndexed) ++indexed_count;
     }
-    compile_span.Annotate("indexed", static_cast<uint64_t>(indexed_views));
+    compile_span.Annotate("indexed", static_cast<uint64_t>(indexed_count));
     compile_span.Annotate("lattice_edges",
                           static_cast<uint64_t>(c.lattice().size()));
     compile_span.Annotate("diagnostics",
                           static_cast<uint64_t>(c.diagnostics().size()));
     if (c.lattice_truncated()) compile_span.Annotate("truncated", "true");
     CountIf(options.metrics, "catalog.views_compiled", c.entries().size());
-    CountIf(options.metrics, "catalog.views_indexed", indexed_views);
+    CountIf(options.metrics, "catalog.views_indexed", indexed_count);
     CountIf(options.metrics, "catalog.diagnostics", c.diagnostics().size());
   }
   return catalog;

@@ -3,9 +3,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagnostic.h"
@@ -25,6 +24,7 @@ struct CatalogCompileOptions {
   /// Chase budget: a view whose normal-form body exceeds this many path
   /// conditions is not chased offline (TSL204); it is always admitted by
   /// the index and chased per query, exactly as the full scan would.
+  /// (A Mediator's own index has no budget: every view is chased once.)
   size_t max_chase_conditions = 256;
   /// Run the pairwise-containment pass that derives the subsumption
   /// lattice (TSL200) and the α-duplicate grouping (TSL201).
@@ -42,42 +42,17 @@ struct CatalogCompileOptions {
   MetricRegistry* metrics = nullptr;  ///< optional `catalog.*` counters
 };
 
-/// How the compiler classified one view.
-enum class CompiledViewState : uint8_t {
-  /// Chased offline; stored chase outcome + structural signature serve
-  /// online probes.
-  kIndexed = 0,
-  /// Not chased offline (TSL204 budget); always admitted, chased online.
-  kAlwaysScan = 1,
-  /// Chase proved the view empty under the constraints (TSL202); never
-  /// admitted — the full scan drops such views identically.
-  kUnsatisfiable = 2,
-  /// Failed validation (unnamed, ill-formed, or regex-stepped); the
-  /// catalog is unservable and every probe falls back to the full scan.
-  kInvalid = 3,
-};
-
-/// \brief One view's compiled record: identity, classification, offline
-/// chase outcome, and structural signature. Everything here serializes to
-/// the index file byte-for-byte (catalog/index_file.h).
+/// \brief What the compiler records about one view on top of its view-index
+/// entry (CompiledCatalog::index().views(), same ordinal). Serialized with
+/// that entry to the index file (catalog/index_file.h).
 struct CompiledViewEntry {
-  std::string name;
   /// The source whose interface exports the view (reporting only).
   std::string source;
-  CompiledViewState state = CompiledViewState::kIndexed;
   /// CanonicalizeQuery(raw view).fingerprint — α-invariant identity, used
   /// by ValidateAgainst and the TSL201 duplicate grouping.
   uint64_t raw_fingerprint = 0;
-  /// CanonicalizeQuery(offline-chased view).fingerprint; 0 unless kIndexed.
+  /// CanonicalizeQuery(chased view).fingerprint; 0 unless indexed.
   uint64_t chased_fingerprint = 0;
-  /// ToString of the offline-chased view, reparsed on load; empty unless
-  /// kIndexed.
-  std::string chased_text;
-  /// RequiredFeatures of the chased body (sorted); empty unless kIndexed.
-  std::vector<std::string> required;
-  /// The catalog-wide rarest feature in `required` — the one bucket this
-  /// view is filed under in the inverted index. Empty unless kIndexed.
-  std::string anchor;
   /// The capability's binding pattern (sorted), kept for TSL203 and
   /// reporting.
   std::vector<std::string> bound_variables;
@@ -92,37 +67,34 @@ struct CatalogLatticeEdge {
   bool equivalent = false;
 };
 
-/// \brief The compiled catalog: per-view entries, the subsumption lattice,
-/// the TSL2xx report, and the anchor-bucket inverted index that answers
-/// online probes. Implements ViewSetIndex, so a Mediator or QueryServer
-/// can consult it during candidate enumeration (docs/CATALOG.md).
+/// \brief The compiled catalog: the view index every Mediator also builds
+/// for itself (rewrite/view_index.h), plus what the offline compiler adds
+/// on top — per-view fingerprints and binding patterns, the subsumption
+/// lattice, and the TSL2xx report — in the form the index file persists
+/// (docs/CATALOG.md).
 ///
 /// Immutable after Assemble; safe to share across threads.
-class CompiledCatalog : public ViewSetIndex {
+class CompiledCatalog {
  public:
-  /// Builds the in-memory index from its serializable parts: reparses
-  /// stored chase outcomes, rebuilds the anchor buckets, and computes the
-  /// catalog fingerprint. Both CompileCatalog and the index-file loader
-  /// funnel through here, which is what makes the round trip exact.
+  /// Joins an index with the compiler's per-view records (parallel to
+  /// index.views()), lattice, and diagnostics, and computes the catalog
+  /// fingerprint. Both CompileCatalog and the index-file loader funnel
+  /// through here. DataLoss when the parts disagree in size or a lattice
+  /// edge names a view outside the catalog.
   static Result<std::shared_ptr<const CompiledCatalog>> Assemble(
-      std::vector<CompiledViewEntry> entries,
+      ViewIndex index, std::vector<CompiledViewEntry> entries,
       std::vector<CatalogLatticeEdge> lattice, bool lattice_truncated,
       std::vector<Diagnostic> diagnostics, uint64_t constraints_fingerprint);
 
-  // --- ViewSetIndex ------------------------------------------------------
-  bool CoversViews(const std::vector<TslQuery>& views) const override;
-  Result<std::optional<std::vector<TslQuery>>> ChasedViewsFor(
-      const TslQuery& chased_query, const std::vector<TslQuery>& views,
-      const ChaseOptions& chase_options,
-      ViewProbeOutcome* outcome) const override;
-  Status ValidateAgainst(
-      const std::vector<TslQuery>& views,
-      const StructuralConstraints* constraints) const override;
-  uint64_t catalog_fingerprint() const override {
-    return catalog_fingerprint_;
-  }
+  /// Verifies this catalog was compiled for exactly \p views (same names,
+  /// same definitions, same order) under \p constraints — the check
+  /// LoadOrCompileCatalog runs before trusting an index file.
+  Status ValidateAgainst(const std::vector<TslQuery>& views,
+                         const StructuralConstraints* constraints) const;
+  /// Stable fingerprint of the compiled (views, constraints) pair.
+  uint64_t catalog_fingerprint() const { return catalog_fingerprint_; }
 
-  // --- compiled artifacts ------------------------------------------------
+  const ViewIndex& index() const { return index_; }
   const std::vector<CompiledViewEntry>& entries() const { return entries_; }
   const std::vector<CatalogLatticeEdge>& lattice() const { return lattice_; }
   bool lattice_truncated() const { return lattice_truncated_; }
@@ -130,46 +102,33 @@ class CompiledCatalog : public ViewSetIndex {
   /// the analyzer), in SortDiagnostics order.
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   uint64_t constraints_fingerprint() const { return constraints_fingerprint_; }
-  /// False when some view is kInvalid: probes decline (full scan) because
-  /// the signatures of an ill-formed catalog prove nothing.
-  bool servable() const { return servable_; }
   size_t error_count() const;
 
   /// "compiled 12 view(s): 10 indexed, 1 unsatisfiable, ..." one-liner.
   std::string Summary() const;
 
  private:
-  CompiledCatalog() = default;
+  explicit CompiledCatalog(ViewIndex index) : index_(std::move(index)) {}
 
+  ViewIndex index_;
   std::vector<CompiledViewEntry> entries_;
-  /// Parsed chased_text, parallel to entries_ (default TslQuery for
-  /// non-indexed entries).
-  std::vector<TslQuery> chased_views_;
   std::vector<CatalogLatticeEdge> lattice_;
   std::vector<Diagnostic> diagnostics_;
-  /// anchor feature -> ordinals of kIndexed views filed under it.
-  std::unordered_map<std::string, std::vector<uint32_t>> anchor_buckets_;
-  /// Ordinals admitted to every probe, ascending: kAlwaysScan entries plus
-  /// kIndexed entries with no required features.
-  std::vector<uint32_t> always_admit_;
-  /// view name -> ordinal.
-  std::unordered_map<std::string, uint32_t> by_name_;
   uint64_t catalog_fingerprint_ = 0;
   uint64_t constraints_fingerprint_ = 0;
   bool lattice_truncated_ = false;
-  bool servable_ = true;
 };
 
 /// \brief Stable fingerprint of a constraint set (the DTD dump, which is
 /// deterministic); distinguishes "no constraints" from every real DTD.
 uint64_t ConstraintsFingerprint(const StructuralConstraints* constraints);
 
-/// \brief The whole-catalog static analyzer: chases every view once,
-/// computes structural signatures, derives the subsumption lattice, and
-/// emits the TSL2xx cross-view diagnostics. Fails only on malformed
-/// descriptions (duplicate names, foreign sources) or hard chase errors;
-/// per-view findings — including error-level ones — land in
-/// diagnostics() so a front end can render all of them.
+/// \brief The whole-catalog static analyzer: builds the view index (every
+/// view chased once, structural signatures, anchor buckets), derives the
+/// subsumption lattice, and emits the TSL2xx cross-view diagnostics. Fails
+/// only on malformed descriptions (duplicate names, foreign sources) or
+/// hard chase errors; per-view findings — including error-level ones —
+/// land in diagnostics() so a front end can render all of them.
 Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
     const std::vector<SourceDescription>& sources,
     const StructuralConstraints* constraints,

@@ -3,11 +3,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
 #include "tsl/canonical.h"
+#include "tsl/parser.h"
 
 namespace tslrw {
 
@@ -91,23 +93,30 @@ class Reader {
 };
 
 std::string SerializePayload(const CompiledCatalog& catalog) {
+  const std::vector<IndexedView>& views = catalog.index().views();
   std::string p;
   PutU64(&p, catalog.constraints_fingerprint());
   PutU8(&p, catalog.lattice_truncated() ? 1 : 0);
-  PutU32(&p, static_cast<uint32_t>(catalog.entries().size()));
-  for (const CompiledViewEntry& e : catalog.entries()) {
-    PutString(&p, e.name);
+  PutU32(&p, static_cast<uint32_t>(views.size()));
+  for (size_t i = 0; i < views.size(); ++i) {
+    const IndexedView& v = views[i];
+    const CompiledViewEntry& e = catalog.entries()[i];
+    PutString(&p, v.name);
     PutString(&p, e.source);
-    PutU8(&p, static_cast<uint8_t>(e.state));
+    PutU8(&p, static_cast<uint8_t>(v.state));
     PutU64(&p, e.raw_fingerprint);
     PutU64(&p, e.chased_fingerprint);
-    PutString(&p, e.chased_text);
-    PutU32(&p, static_cast<uint32_t>(e.required.size()));
-    for (const std::string& f : e.required) PutString(&p, f);
-    PutString(&p, e.anchor);
+    PutString(&p, v.state == IndexedViewState::kIndexed ? v.chased.ToString()
+                                                        : std::string());
+    PutU32(&p, static_cast<uint32_t>(v.required.size()));
+    for (const std::string& f : v.required) PutString(&p, f);
+    PutString(&p, v.anchor);
     PutU32(&p, static_cast<uint32_t>(e.bound_variables.size()));
-    for (const std::string& v : e.bound_variables) PutString(&p, v);
+    for (const std::string& b : e.bound_variables) PutString(&p, b);
   }
+  const std::set<std::string>& fired = catalog.index().fired_constraints();
+  PutU32(&p, static_cast<uint32_t>(fired.size()));
+  for (const std::string& key : fired) PutString(&p, key);
   PutU32(&p, static_cast<uint32_t>(catalog.lattice().size()));
   for (const CatalogLatticeEdge& edge : catalog.lattice()) {
     PutU32(&p, edge.subsumed);
@@ -161,35 +170,54 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
     return Status::DataLoss("catalog index flag byte is not a boolean");
   }
   TSLRW_ASSIGN_OR_RETURN(uint32_t entry_count, r.U32());
+  std::vector<IndexedView> views;
   std::vector<CompiledViewEntry> entries;
+  views.reserve(entry_count);
   entries.reserve(entry_count);
   for (uint32_t i = 0; i < entry_count; ++i) {
+    IndexedView v;
     CompiledViewEntry e;
-    TSLRW_ASSIGN_OR_RETURN(e.name, r.String());
+    TSLRW_ASSIGN_OR_RETURN(v.name, r.String());
     TSLRW_ASSIGN_OR_RETURN(e.source, r.String());
     TSLRW_ASSIGN_OR_RETURN(uint8_t state, r.U8());
-    if (state > static_cast<uint8_t>(CompiledViewState::kInvalid)) {
+    if (state > static_cast<uint8_t>(IndexedViewState::kInvalid)) {
       return Status::DataLoss(
           StrCat("catalog index holds unknown view state ", state));
     }
-    e.state = static_cast<CompiledViewState>(state);
+    v.state = static_cast<IndexedViewState>(state);
     TSLRW_ASSIGN_OR_RETURN(e.raw_fingerprint, r.U64());
     TSLRW_ASSIGN_OR_RETURN(e.chased_fingerprint, r.U64());
-    TSLRW_ASSIGN_OR_RETURN(e.chased_text, r.String());
+    TSLRW_ASSIGN_OR_RETURN(std::string chased_text, r.String());
+    if (v.state == IndexedViewState::kIndexed) {
+      Result<TslQuery> parsed = ParseTslQuery(chased_text, v.name);
+      if (!parsed.ok()) {
+        return Status::DataLoss(
+            StrCat("stored chase outcome of view ", v.name,
+                   " does not parse: ", parsed.status().message()));
+      }
+      v.chased = std::move(parsed).value();
+    }
     TSLRW_ASSIGN_OR_RETURN(uint32_t required_count, r.U32());
-    e.required.reserve(required_count);
+    v.required.reserve(required_count);
     for (uint32_t k = 0; k < required_count; ++k) {
       TSLRW_ASSIGN_OR_RETURN(std::string f, r.String());
-      e.required.push_back(std::move(f));
+      v.required.push_back(std::move(f));
     }
-    TSLRW_ASSIGN_OR_RETURN(e.anchor, r.String());
+    TSLRW_ASSIGN_OR_RETURN(v.anchor, r.String());
     TSLRW_ASSIGN_OR_RETURN(uint32_t bound_count, r.U32());
     e.bound_variables.reserve(bound_count);
     for (uint32_t k = 0; k < bound_count; ++k) {
-      TSLRW_ASSIGN_OR_RETURN(std::string v, r.String());
-      e.bound_variables.push_back(std::move(v));
+      TSLRW_ASSIGN_OR_RETURN(std::string b, r.String());
+      e.bound_variables.push_back(std::move(b));
     }
+    views.push_back(std::move(v));
     entries.push_back(std::move(e));
+  }
+  TSLRW_ASSIGN_OR_RETURN(uint32_t fired_count, r.U32());
+  std::set<std::string> fired;
+  for (uint32_t i = 0; i < fired_count; ++i) {
+    TSLRW_ASSIGN_OR_RETURN(std::string key, r.String());
+    fired.insert(std::move(key));
   }
   TSLRW_ASSIGN_OR_RETURN(uint32_t edge_count, r.U32());
   std::vector<CatalogLatticeEdge> lattice;
@@ -224,8 +252,10 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
   if (!r.exhausted()) {
     return Status::DataLoss("catalog index payload has trailing bytes");
   }
-  return CompiledCatalog::Assemble(std::move(entries), std::move(lattice),
-                                   truncated_byte == 1,
+  TSLRW_ASSIGN_OR_RETURN(
+      ViewIndex index, ViewIndex::Assemble(std::move(views), std::move(fired)));
+  return CompiledCatalog::Assemble(std::move(index), std::move(entries),
+                                   std::move(lattice), truncated_byte == 1,
                                    std::move(diagnostics),
                                    constraints_fingerprint);
 }

@@ -11,7 +11,7 @@
 namespace tslrw {
 
 /// \brief The persistent form of a CompiledCatalog (`tslrw_compile -o`,
-/// `Mediator::Make` snapshot ingestion).
+/// the shell's `compile save`).
 ///
 /// Layout (all integers little-endian, strings length-prefixed):
 ///
@@ -19,8 +19,8 @@ namespace tslrw {
 ///     version u32 (= kCatalogIndexVersion)
 ///     checksum u64 = StableFingerprint(payload)
 ///     length  u64 = payload byte count
-///     payload: constraints fingerprint, flags, entries, lattice,
-///              diagnostics
+///     payload: constraints fingerprint, flags, entries, fired
+///              constraint keys, lattice, diagnostics
 ///
 /// The payload holds exactly the inputs of CompiledCatalog::Assemble, and
 /// loading funnels through Assemble, so a load-then-serialize round trip is
@@ -30,12 +30,13 @@ namespace tslrw {
 ///
 /// Every malformed input — short file, bad magic, unknown version, checksum
 /// mismatch, truncated or over-long payload, out-of-range enum byte —
-/// fails with StatusCode::kDataLoss, the signal attach points use to fall
-/// back to an in-memory compile.
+/// fails with StatusCode::kDataLoss, the signal LoadOrCompileCatalog uses
+/// to fall back to an in-memory compile.
 
 inline constexpr char kCatalogIndexMagic[8] = {'T', 'S', 'L', 'R',
                                                'W', 'I', 'X', '1'};
-inline constexpr uint32_t kCatalogIndexVersion = 1;
+/// Version 2 added the fired constraint keys.
+inline constexpr uint32_t kCatalogIndexVersion = 2;
 
 /// Serializes \p catalog (header included).
 std::string SerializeCatalog(const CompiledCatalog& catalog);

@@ -12,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rewrite/contained.h"
-#include "rewrite/view_index.h"
 #include "tsl/canonical.h"
 
 namespace tslrw {
@@ -129,38 +128,10 @@ Result<Mediator> Mediator::Make(std::vector<SourceDescription> sources,
   }
   Mediator mediator(std::move(sources), constraints, std::move(report));
   mediator.hedge_partners_ = ComputeHedgePartners(mediator.sources_);
+  mediator.views_ = std::move(views);
+  mediator.view_index_ = std::make_shared<const ViewIndex>(
+      ViewIndex::Build(mediator.views_, constraints));
   return mediator;
-}
-
-Result<Mediator> Mediator::Make(std::vector<SourceDescription> sources,
-                                const StructuralConstraints* constraints,
-                                std::shared_ptr<const ViewSetIndex> index) {
-  TSLRW_ASSIGN_OR_RETURN(Mediator mediator,
-                         Make(std::move(sources), constraints));
-  TSLRW_RETURN_NOT_OK(mediator.AttachCatalogIndex(std::move(index)));
-  return mediator;
-}
-
-Status Mediator::AttachCatalogIndex(
-    std::shared_ptr<const ViewSetIndex> index) {
-  if (index == nullptr) {
-    catalog_index_ = nullptr;
-    return Status::OK();
-  }
-  // The index's stored chase outcomes are only exact for the (views,
-  // constraints) pair it was compiled under; refuse anything else rather
-  // than serve plans from stale structure.
-  TSLRW_RETURN_NOT_OK(index->ValidateAgainst(AllViews(), constraints_));
-  catalog_index_ = std::move(index);
-  return Status::OK();
-}
-
-std::vector<TslQuery> Mediator::AllViews() const {
-  std::vector<TslQuery> views;
-  for (const SourceDescription& sd : sources_) {
-    for (const Capability& cap : sd.capabilities) views.push_back(cap.view);
-  }
-  return views;
 }
 
 const Capability* Mediator::FindCapability(const std::string& name) const {
@@ -339,7 +310,7 @@ Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
   options.parallelism = rewrite_parallelism;
   options.tracer = tracer;
   options.metrics = metrics;
-  options.view_index = catalog_index_.get();
+  options.view_index = view_index_.get();
   if (deadline_clock != nullptr && deadline_ticks > 0) {
     options.should_stop = [deadline_clock, deadline_ticks] {
       return deadline_clock->now() >= deadline_ticks;
@@ -347,7 +318,7 @@ Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
   }
   ScopedSpan span(tracer, "mediator.plan_search");
   CountIf(metrics, "mediator.plan_searches");
-  Result<MediatorPlanSet> set = PlanOverViews(query, AllViews(), options);
+  Result<MediatorPlanSet> set = PlanOverViews(query, views_, options);
   if (set.ok()) {
     span.Annotate("plans", static_cast<uint64_t>(set->size()));
     span.Annotate("truncated", set->truncated ? "true" : "false");
@@ -724,10 +695,10 @@ RewriteOptions Mediator::PlanningOptions(const ExecutionPolicy& policy,
   options.parallelism = policy.rewrite_parallelism;
   options.tracer = policy.tracer;
   options.metrics = policy.metrics;
-  // The index declines any view set it was not compiled for (CoversViews),
-  // so replans over live-view subsets and the degraded fallback take the
-  // full scan automatically and stay byte-identical.
-  options.view_index = catalog_index_.get();
+  // The index declines any view set it was not built over (CoversViews),
+  // so replans over live-view subsets take the full scan automatically and
+  // stay byte-identical.
+  options.view_index = view_index_.get();
   if (deadline_ticks > 0) {
     options.should_stop = [clock, deadline_ticks] {
       return clock->now() >= deadline_ticks;
@@ -753,7 +724,7 @@ Result<DegradedAnswer> Mediator::Answer(const TslQuery& query,
   ScopedSpan plan_span(effective.tracer, "mediator.plan_search");
   CountIf(effective.metrics, "mediator.plan_searches");
   TSLRW_ASSIGN_OR_RETURN(MediatorPlanSet plans,
-                         PlanOverViews(query, AllViews(), plan_options));
+                         PlanOverViews(query, views_, plan_options));
   plan_span.Annotate("plans", static_cast<uint64_t>(plans.size()));
   plan_span.Annotate("truncated", plans.truncated ? "true" : "false");
   plan_span.EndNow();

@@ -19,6 +19,7 @@
 #include "mediator/wrapper.h"
 #include "oem/database.h"
 #include "rewrite/rewriter.h"
+#include "rewrite/view_index.h"
 #include "tsl/ast.h"
 
 namespace tslrw {
@@ -91,9 +92,10 @@ struct ExecutionPolicy {
   /// of continuing with the plans found so far.
   bool strict = false;
   /// Worker threads for candidate verification inside every plan search
-  /// (RewriteOptions::parallelism): 0 = hardware concurrency, 1 = inline
-  /// on the planning thread. Plans are byte-identical either way.
-  size_t rewrite_parallelism = 0;
+  /// (RewriteOptions::parallelism): 1 (the default) = inline on the
+  /// planning thread, 0 = hardware concurrency. Plans are byte-identical
+  /// either way.
+  size_t rewrite_parallelism = 1;
   /// Optional span tree for this execution (docs/OBSERVABILITY.md): plan
   /// search, per-plan attempts, fetch retries/backoffs, failover and
   /// degraded-fallback decisions. Everything recorded is driven by the
@@ -154,31 +156,14 @@ class Mediator {
   ///        warnings are kept in analysis() for the caller to surface).
   /// \param constraints optional DTD-derived constraints on the source
   ///        data, forwarded to the rewriter (\S3.3) and the analyzer.
+  ///
+  /// Make also builds the mediator's view index (rewrite/view_index.h):
+  /// every capability view is chased once here, so each plan search chases
+  /// only the query and maps and composes only the views whose structural
+  /// signature fits it. Plans are byte-identical to a full scan.
   static Result<Mediator> Make(std::vector<SourceDescription> sources,
                                const StructuralConstraints* constraints =
                                    nullptr);
-
-  /// Make + AttachCatalogIndex in one step: ingests a compiled catalog
-  /// index (src/catalog — typically loaded from a `tslrw_compile -o` index
-  /// file) so plan searches probe view signatures instead of chasing every
-  /// view. Fails when the index was not compiled for exactly these
-  /// (sources, constraints).
-  static Result<Mediator> Make(std::vector<SourceDescription> sources,
-                               const StructuralConstraints* constraints,
-                               std::shared_ptr<const ViewSetIndex> index);
-
-  /// Validates \p index against this mediator's views and constraints and,
-  /// on success, consults it in every subsequent plan search (Plan, Answer,
-  /// and the serving layer's cached searches). Plans are byte-identical
-  /// with or without an index — the index only skips views that provably
-  /// admit no containment mapping. Passing null detaches. On failure the
-  /// previously attached index (if any) is left in place.
-  Status AttachCatalogIndex(std::shared_ptr<const ViewSetIndex> index);
-
-  /// The attached catalog index, or null.
-  const std::shared_ptr<const ViewSetIndex>& catalog_index() const {
-    return catalog_index_;
-  }
 
   /// Capability-based rewriting: every total rewriting of \p query over
   /// the capability views, cheapest-first. An empty plan list means the
@@ -201,7 +186,7 @@ class Mediator {
   ///        request's admission deadline here so a cold plan-cache miss
   ///        cannot overspend the request budget.
   Result<MediatorPlanSet> Plan(const TslQuery& query,
-                               size_t rewrite_parallelism = 0,
+                               size_t rewrite_parallelism = 1,
                                Tracer* tracer = nullptr,
                                MetricRegistry* metrics = nullptr,
                                const VirtualClock* deadline_clock = nullptr,
@@ -293,8 +278,6 @@ class Mediator {
         constraints_(constraints),
         analysis_(std::move(analysis)) {}
 
-  /// All capability views across sources.
-  std::vector<TslQuery> AllViews() const;
   /// The capability owning view \p name; nullptr if unknown.
   const Capability* FindCapability(const std::string& name) const;
   /// The source whose interface exports view \p name; empty if unknown.
@@ -385,9 +368,12 @@ class Mediator {
   /// source with the same bound-variable set, name-sorted. Computed once at
   /// Make; empty for views with no replica.
   std::map<std::string, std::vector<std::string>> hedge_partners_;
-  /// Optional compiled catalog index (shared with the serving layer's
-  /// snapshots; immutable, so copies of the mediator alias it safely).
-  std::shared_ptr<const ViewSetIndex> catalog_index_;
+  /// All capability views across sources, in source order: the view set
+  /// of every full plan search, built once at Make.
+  std::vector<TslQuery> views_;
+  /// The index over `views_` under `constraints_`, built at Make
+  /// (immutable, so copies of the mediator alias it safely).
+  std::shared_ptr<const ViewIndex> view_index_;
 };
 
 }  // namespace tslrw

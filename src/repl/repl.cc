@@ -44,8 +44,7 @@ constexpr std::string_view kHelp =
     "  analyze [rule]                   static diagnostics (all rules, or "
     "one)\n"
     "  compile [save <p> | load <p>]    whole-catalog analysis (TSL2xx) +\n"
-    "                                   structural view index; attaches to\n"
-    "                                   a running server\n"
+    "                                   structural view index file\n"
     "  materialize <view>               view result becomes a source\n"
     "  capability <source> (Name) <head> :- <body>\n"
     "                                   declare a source interface view\n"
@@ -467,15 +466,6 @@ std::string ReplSession::Compile(std::string_view rest) {
   }
   out += StrCat(compiled->Summary(), "\n");
   if (save) out += StrCat("wrote index ", path, "\n");
-  // A running server ingests the index if it validates against the current
-  // mediator (same views, same constraints); otherwise it is reported and
-  // the server keeps scanning.
-  if (server_ != nullptr) {
-    Status attached = server_->AttachCatalogIndex(compiled);
-    out += attached.ok()
-               ? "index attached to the running server\n"
-               : StrCat("index not attached: ", attached.ToString(), "\n");
-  }
   return out;
 }
 

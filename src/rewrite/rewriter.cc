@@ -86,17 +86,17 @@ Result<ChasedInputs> ChaseInputs(const TslQuery& query,
 
 /// The indexed replacement for ChaseInputs, taken when options.view_index
 /// covers \p views: the query is chased as usual, but the per-view work is
-/// answered from the compiled catalog — stored offline chase outcomes for
-/// views whose structural signature admits a containment mapping into the
-/// chased query, nothing for views the signature rules out. A covered
-/// catalog has no regex, unnamed, or invalid views (the compiler refuses
-/// to serve one), so the full scan's per-view checks cannot fire and
-/// skipping them is unobservable; the result is byte-identical by the
-/// signature soundness argument in docs/CATALOG.md.
+/// answered from the index — stored chase outcomes for views whose
+/// structural signature admits a containment mapping into the chased
+/// query, nothing for views the signature rules out. A covered view set
+/// has no regex, unnamed, or invalid views (the index declines one), so
+/// the full scan's per-view checks cannot fire and skipping them is
+/// unobservable; the result is byte-identical by the signature soundness
+/// argument in docs/CATALOG.md.
 Result<ChasedInputs> ChaseInputsIndexed(const TslQuery& query,
                                         const std::vector<TslQuery>& views,
                                         const ChaseOptions& chase_options,
-                                        const ViewSetIndex& index,
+                                        const ViewIndex& index,
                                         ViewProbeOutcome* outcome) {
   if (UsesRegexSteps(query)) {
     return Status::IllFormedQuery(

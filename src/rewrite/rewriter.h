@@ -17,7 +17,7 @@ namespace tslrw {
 
 class MetricRegistry;
 class Tracer;
-class ViewSetIndex;
+class ViewIndex;
 
 /// \brief Knobs for the \S3.4 rewriting algorithm.
 struct RewriteOptions {
@@ -25,15 +25,16 @@ struct RewriteOptions {
   /// labeled-FD chase on the query, the views, and the candidates (\S3.3).
   const StructuralConstraints* constraints = nullptr;
 
-  /// Optional precompiled index over the view set (src/catalog, attached
-  /// through Mediator::AttachCatalogIndex after validation; not owned).
-  /// When the index recognizes `views` as its compiled catalog,
-  /// RewriteQuery reuses the offline chase outcomes and enumerates
-  /// candidates only over views whose structural signature admits a
-  /// containment mapping into the query — the result stays byte-identical
-  /// to the full scan (see docs/CATALOG.md). When it does not (live-view
-  /// subsets during failover replans, a stale index), the full scan runs.
-  const ViewSetIndex* view_index = nullptr;
+  /// Optional structural index over the view set (rewrite/view_index.h;
+  /// not owned). It must have been built over `views` under `constraints`
+  /// — every Mediator passes the index it built at Make. When the index
+  /// recognizes `views` as its view set, RewriteQuery reuses the stored
+  /// chase outcomes and maps and composes only the views whose structural
+  /// signature admits a containment mapping into the query; the result
+  /// stays byte-identical to the full scan (see docs/CATALOG.md). When it
+  /// does not (live-view subsets during failover replans), the full scan
+  /// runs.
+  const ViewIndex* view_index = nullptr;
 
   /// The \S3.4 heuristic: only construct candidates whose view
   /// instantiations and query conditions together "cover" all conditions
@@ -73,12 +74,14 @@ struct RewriteOptions {
   /// Worker threads for candidate verification (chase + compose + \S4
   /// equivalence test). `0` means hardware concurrency. Every value runs
   /// the same memoized pipeline of docs/PARALLELISM.md; this knob only
-  /// chooses where verification runs: `1` verifies each candidate inline
-  /// on the calling thread (no worker pool), any resolved value > 1 fans
-  /// batches out over a worker pool. Results commit in enumeration order,
-  /// so rewritings, counters, truncation flag, and error statuses are
-  /// byte-identical at every value.
-  size_t parallelism = 0;
+  /// chooses where verification runs: `1` (the default) verifies each
+  /// candidate inline on the calling thread (no worker pool), any resolved
+  /// value > 1 fans batches out over a worker pool. Results commit in
+  /// enumeration order, so rewritings, counters, truncation flag, and error
+  /// statuses are byte-identical at every value. Inline is the default
+  /// because the pool's hand-off costs more than it saves on typical
+  /// searches (EXPERIMENTS.md CL-PAR).
+  size_t parallelism = 1;
 
   /// Optional span tree for this call (docs/OBSERVABILITY.md). Spans are
   /// opened only on the calling thread — the deterministic control path —
@@ -141,10 +144,11 @@ struct RewriteResult {
   /// list, hence cannot change the search. Deterministic at any parallelism.
   std::set<std::string> views_touched;
   /// Stable keys (chase.h) of the constraint rules that fired while chasing
-  /// the *inputs* (query and views). Candidate-chase firings are excluded —
-  /// they are scheduling-dependent under a worker pool — so this is
-  /// observability data, not a sound constraint footprint; the maintenance
-  /// layer flushes on any constraints delta regardless.
+  /// the *inputs* (query and views; an indexed search reports the firings
+  /// its stored view chases stand for). Candidate-chase firings are
+  /// excluded — they are scheduling-dependent under a worker pool — so this
+  /// is observability data, not a sound constraint footprint; the
+  /// maintenance layer flushes on any constraints delta regardless.
   std::set<std::string> fired_constraints;
   /// The chased input query (normal form, constraints applied). The
   /// maintenance layer probes it when a view is *added*: if the new view's

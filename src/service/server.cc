@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rewrite/view_index.h"
 
 namespace tslrw {
 
@@ -230,19 +229,6 @@ MaintenanceReport QueryServer::ReplaceMediator(Mediator mediator) {
   const CatalogDelta delta = ComputeCatalogDelta(
       current->mediator->sources(), current->mediator->constraints(),
       mediator.sources(), mediator.constraints());
-  // Stale-index guard: a catalog index compiled for the retiring view set
-  // must not serve the new one. Re-validate it against the incoming
-  // mediator (ValidateAgainst pins names, definitions, and constraints —
-  // the catalog fingerprint); carry it over only on success.
-  if (mediator.catalog_index() == nullptr &&
-      current->mediator->catalog_index() != nullptr) {
-    if (mediator.AttachCatalogIndex(current->mediator->catalog_index())
-            .ok()) {
-      CountIf(options_.metrics, "catalog.index_carried");
-    } else {
-      CountIf(options_.metrics, "catalog.index_dropped_stale");
-    }
-  }
   MaintenanceReport report;
   report.delta_summary = delta.ToString();
   ScopedSpan maint_span(options_.maintenance_tracer, "maint.invalidate");
@@ -314,31 +300,6 @@ MaintenanceReport QueryServer::ReplaceMediator(Mediator mediator) {
   Publish(std::move(next));
   mediator_swaps_.fetch_add(1);
   return report;
-}
-
-Status QueryServer::AttachCatalogIndex(
-    std::shared_ptr<const ViewSetIndex> index) {
-  std::lock_guard<std::mutex> writer(mutate_mu_);
-  const std::shared_ptr<const Snapshot> current = snapshot();
-  Mediator mediator = *current->mediator;
-  TSLRW_RETURN_NOT_OK(mediator.AttachCatalogIndex(std::move(index)));
-  auto next = std::make_shared<Snapshot>(*current);
-  next->mediator = std::make_shared<const Mediator>(std::move(mediator));
-  // The plan cache survives: an indexed plan search returns byte-identical
-  // plan lists, so cached entries stay valid across the attach.
-  Publish(std::move(next));
-  CountIf(options_.metrics, "catalog.index_attached");
-  return Status::OK();
-}
-
-bool QueryServer::has_catalog_index() const {
-  return snapshot()->mediator->catalog_index() != nullptr;
-}
-
-uint64_t QueryServer::catalog_index_fingerprint() const {
-  const std::shared_ptr<const ViewSetIndex>& index =
-      snapshot()->mediator->catalog_index();
-  return index == nullptr ? 0 : index->catalog_fingerprint();
 }
 
 void QueryServer::InvalidatePlans() {

@@ -70,11 +70,11 @@ struct ServerOptions {
   bool allow_degraded = true;
   bool strict = false;
   /// Verification workers inside each cold plan search and each failover
-  /// re-plan (RewriteOptions::parallelism semantics: 0 = hardware
-  /// concurrency, 1 = inline on the request thread). Cached plans are
-  /// byte-identical for every value, so this only changes cold-miss
+  /// re-plan (RewriteOptions::parallelism semantics: 1, the default, =
+  /// inline on the request thread, 0 = hardware concurrency). Cached plans
+  /// are byte-identical for every value, so this only changes cold-miss
   /// latency.
-  size_t rewrite_parallelism = 0;
+  size_t rewrite_parallelism = 1;
   /// Optional server-wide metric sink (not owned; must outlive the
   /// server): thread-pool admission, per-request outcomes, plan-cache
   /// hits/misses, and every mediator/rewriter counter of the requests.
@@ -205,25 +205,9 @@ class QueryServer {
   /// -cache maintenance per ServerOptions::maintenance — selective
   /// invalidation of only the entries the old-vs-new catalog delta can
   /// affect (the cache object, its counters, and every retained entry
-  /// survive), or a full flush. A catalog index attached to the retiring
-  /// snapshot is carried over iff it still validates against the new
-  /// mediator (same views, same constraints — the catalog-fingerprint
-  /// guard); otherwise it is dropped and `catalog.index_dropped_stale`
-  /// counts the event. An index attached to \p mediator itself always
-  /// wins. Returns what happened to the cache.
+  /// survive), or a full flush. The new mediator plans through the view
+  /// index it built at Make. Returns what happened to the cache.
   MaintenanceReport ReplaceMediator(Mediator mediator);
-
-  /// Attaches a compiled catalog index (src/catalog) to the serving
-  /// snapshot: validates it against the current mediator, then publishes a
-  /// snapshot whose plan searches probe the index. The plan-cache
-  /// generation survives — indexed plan lists are byte-identical to
-  /// scanned ones. Pass null to detach.
-  Status AttachCatalogIndex(std::shared_ptr<const ViewSetIndex> index);
-
-  /// True when the current snapshot's mediator holds a catalog index.
-  bool has_catalog_index() const;
-  /// The attached index's catalog fingerprint, or 0 when none is attached.
-  uint64_t catalog_index_fingerprint() const;
 
   /// Starts a fresh plan-cache generation for the current mediator and
   /// drops every entry. Benchmarks use this for cold-cache runs. The cache

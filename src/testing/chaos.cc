@@ -346,9 +346,7 @@ Result<ChaosDrillResult> RunChaosDrill(
     if (phase.action == ChaosPhase::Action::kIndexCorruption) {
       // Corrupt the serialized catalog-index image in memory and prove the
       // loader refuses it — a corrupt index must become a clean kDataLoss,
-      // never a silently wrong planner. Then attach the pristine index to
-      // the live server (the plan cache survives: indexed searches are
-      // byte-identical).
+      // never a silently wrong report.
       Result<std::shared_ptr<const CompiledCatalog>> compiled =
           CompileCatalog(sources, nullptr);
       if (!compiled.ok()) return compiled.status();
@@ -365,16 +363,7 @@ Result<ChaosDrillResult> RunChaosDrill(
                          loaded.ok() ? "OK" : loaded.status().ToString(),
                          ")"));
       }
-      Status attached = server.AttachCatalogIndex(*compiled);
-      if (!attached.ok()) {
-        result.sound = false;
-        violation(StrCat("phase ", phase.name,
-                         ": pristine index rejected: ",
-                         attached.ToString()));
-      }
-      action_note =
-          "  [index] corrupt image rejected (data loss); pristine index "
-          "attached to the live server\n";
+      action_note = "  [index] corrupt image rejected (data loss)\n";
     }
 
     if (phase.action == ChaosPhase::Action::kPoolSaturation) {

@@ -24,9 +24,9 @@ struct ChaosPhase {
   /// How the drill interferes with the serving layer during the phase.
   enum class Action : uint8_t {
     kNone,
-    /// Compile the catalog index, corrupt its serialized image, prove the
-    /// loader rejects it (kDataLoss — never a silently wrong index), then
-    /// attach the pristine index to the running server mid-drill.
+    /// Compile the catalog index, corrupt its serialized image, and prove
+    /// the loader rejects it (kDataLoss — never a silently wrong index)
+    /// while the server keeps serving.
     kIndexCorruption,
     /// Publish an answer-equivalent catalog snapshot halfway through the
     /// phase's request stream: answers before and after must agree and the

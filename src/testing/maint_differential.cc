@@ -110,7 +110,7 @@ std::string RenderObservation(const TslQuery& query, uint64_t seed,
 struct ArmResult {
   std::vector<std::string> observations;
   std::vector<MaintenanceReport> reports;
-  uint64_t cache_hits = 0;
+  uint64_t plans_reused = 0;
 };
 
 }  // namespace
@@ -320,7 +320,8 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
         }
       }
     }
-    arm.cache_hits = server.stats().plan_cache.hits;
+    const PlanCacheStats cache = server.stats().plan_cache;
+    arm.plans_reused = cache.hits + cache.coalesced;
     server.Shutdown();
     return arm;
   };
@@ -332,8 +333,8 @@ Result<MaintDrillResult> RunMaintDifferentialDrill(
 
   // --- Compare. ---
   MaintDrillResult result;
-  result.selective_hits = selective->cache_hits;
-  result.flush_hits = flush->cache_hits;
+  result.selective_reused = selective->plans_reused;
+  result.flush_reused = flush->plans_reused;
   for (size_t s = 0; s < script.size(); ++s) {
     const MaintenanceReport& report = selective->reports[s];
     result.entries_examined += report.entries_examined;

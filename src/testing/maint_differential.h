@@ -51,10 +51,14 @@ struct MaintDrillResult {
   size_t entries_examined = 0;
   size_t entries_invalidated = 0;
   size_t entries_retained = 0;
-  /// Plan-cache hits after the replay, per arm: retention converts the
-  /// flush arm's cold misses into warm hits.
-  uint64_t selective_hits = 0;
-  uint64_t flush_hits = 0;
+  /// Requests served by a plan the arm's cache already held or was
+  /// computing (hits + coalesced waits), per arm: retention converts the
+  /// flush arm's cold misses into warm reuse. Unlike either term alone the
+  /// sum is deterministic under parallelism — it is the requests minus the
+  /// plan searches, and a concurrent burst may only race a hit against a
+  /// coalesced wait.
+  uint64_t selective_reused = 0;
+  uint64_t flush_reused = 0;
 };
 
 /// \brief Normalizes a per-request Tracer::ToText dump so the selective

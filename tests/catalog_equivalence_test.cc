@@ -1,26 +1,34 @@
-// Byte-identity of indexed rewriting: for every query, RewriteQuery with a
-// compiled catalog index attached must return exactly the RewriteResult of
-// the full scan — same rewritings in the same order, same counters, same
-// truncation flag — and a mediator planning through the index must degrade
-// identically under injected faults. docs/CATALOG.md states the argument;
-// this suite pins it across fixture, DTD-constrained, and seeded-random
-// catalogs.
+// Byte-identity of indexed rewriting: for every query, RewriteQuery
+// probing a view index must return exactly the RewriteResult of the full
+// scan — same rewritings in the same order, same counters, same truncation
+// flag, same footprint facts — and a mediator, which always plans through
+// the index it built at Make, must plan and answer exactly as the full
+// scan and the reference evaluator do, also under injected faults.
+// docs/CATALOG.md states the argument; this suite pins it across fixture,
+// DTD-constrained, and seeded-random catalogs.
 
+#include <algorithm>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "catalog/compiler.h"
+#include "catalog/index_file.h"
 #include "constraints/dtd.h"
+#include "eval/evaluator.h"
+#include "common/string_util.h"
 #include "fixtures.h"
 #include "mediator/fault.h"
 #include "mediator/mediator.h"
 #include "mediator/wrapper.h"
 #include "obs/metrics.h"
-#include "testing/random_rules.h"
 #include "rewrite/rewriter.h"
+#include "rewrite/view_index.h"
+#include "testing/random_rules.h"
 #include "tsl/parser.h"
 
 namespace tslrw {
@@ -33,6 +41,10 @@ using testing::MustParseDb;
 /// equal renderings are byte-identical for the caller. The shared-work
 /// diagnostics (cache hits, batches) are scheduling-dependent and outside
 /// the determinism guarantee, so they stay out.
+std::string JoinSet(const std::set<std::string>& keys) {
+  return JoinMapped(keys, ",", [](const std::string& k) { return k; });
+}
+
 std::string Render(const RewriteResult& result) {
   std::string out;
   for (const TslQuery& q : result.rewritings) {
@@ -43,36 +55,61 @@ std::string Render(const RewriteResult& result) {
   out += " generated=" + std::to_string(result.candidates_generated);
   out += " tested=" + std::to_string(result.candidates_tested);
   out += result.truncated ? " truncated" : "";
+  out += "\nviews_touched=" + JoinSet(result.views_touched);
+  out += "\nfired_constraints=" + JoinSet(result.fired_constraints);
   return out;
 }
 
-/// Compiles an index over \p views and checks RewriteQuery(query) with and
-/// without it renders identically. Returns the probe's skip count so
-/// callers can assert pruning actually happened.
-uint64_t ExpectIndexedMatchesFullScan(
-    const TslQuery& query, const std::vector<TslQuery>& views,
-    const StructuralConstraints* constraints) {
-  auto catalog = CompileCatalog(DescribeViews(views), constraints);
-  EXPECT_TRUE(catalog.ok()) << catalog.status();
-  if (!catalog.ok()) return 0;
-
+/// Checks RewriteQuery(query) probing \p index renders identically to the
+/// full scan. Returns the probe's skip count so callers can assert pruning
+/// actually happened.
+uint64_t ExpectProbeMatchesFullScan(const TslQuery& query,
+                                    const std::vector<TslQuery>& views,
+                                    const StructuralConstraints* constraints,
+                                    const ViewIndex& index,
+                                    const std::string& which) {
   RewriteOptions plain;
   plain.constraints = constraints;
   auto full = RewriteQuery(query, views, plain);
 
   MetricRegistry metrics;
   RewriteOptions indexed = plain;
-  indexed.view_index = catalog->get();
+  indexed.view_index = &index;
   indexed.metrics = &metrics;
   auto fast = RewriteQuery(query, views, indexed);
 
   EXPECT_EQ(full.ok(), fast.ok())
-      << full.status() << " vs " << fast.status();
+      << which << ": " << full.status() << " vs " << fast.status();
   if (full.ok() && fast.ok()) {
-    EXPECT_EQ(Render(*full), Render(*fast)) << query.ToString();
+    EXPECT_EQ(Render(*full), Render(*fast)) << which << ": "
+                                            << query.ToString();
   }
-  EXPECT_EQ(metrics.GetCounter("catalog.index_misses")->value(), 0u);
+  EXPECT_EQ(metrics.GetCounter("catalog.index_misses")->value(), 0u) << which;
   return metrics.GetCounter("catalog.index_views_skipped")->value();
+}
+
+/// Probes three indexes over \p views against the full scan: the one a
+/// Mediator builds at Make, the compiled catalog's, and that catalog read
+/// back from its index file. Returns the Make-time index's skip count.
+uint64_t ExpectIndexedMatchesFullScan(
+    const TslQuery& query, const std::vector<TslQuery>& views,
+    const StructuralConstraints* constraints) {
+  const uint64_t skipped = ExpectProbeMatchesFullScan(
+      query, views, constraints, ViewIndex::Build(views, constraints),
+      "built");
+
+  auto catalog = CompileCatalog(DescribeViews(views), constraints);
+  EXPECT_TRUE(catalog.ok()) << catalog.status();
+  if (!catalog.ok()) return skipped;
+  ExpectProbeMatchesFullScan(query, views, constraints, (*catalog)->index(),
+                             "compiled");
+  auto loaded = DeserializeCatalog(SerializeCatalog(**catalog));
+  EXPECT_TRUE(loaded.ok()) << loaded.status();
+  if (loaded.ok()) {
+    ExpectProbeMatchesFullScan(query, views, constraints, (*loaded)->index(),
+                               "loaded");
+  }
+  return skipped;
 }
 
 TEST(CatalogEquivalenceTest, PaperFixtureSuite) {
@@ -194,44 +231,96 @@ std::string RenderAnswer(const DegradedAnswer& answer) {
   return out;
 }
 
+std::vector<TslQuery> ViewsOf(const std::vector<SourceDescription>& sources) {
+  std::vector<TslQuery> views;
+  for (const SourceDescription& sd : sources) {
+    for (const Capability& cap : sd.capabilities) views.push_back(cap.view);
+  }
+  return views;
+}
+
+/// A plan search's observable output, rendered: the rewritings (sorted —
+/// the mediator orders plans by cost), the search counters, and the
+/// footprint the maintenance layer keys on.
+std::string RenderSearch(std::vector<std::string> rewritings,
+                         size_t generated, size_t tested,
+                         const std::set<std::string>& views_touched,
+                         const std::set<std::string>& fired_constraints) {
+  std::sort(rewritings.begin(), rewritings.end());
+  std::string out = Join(rewritings, "\n");
+  out += "\ngenerated=" + std::to_string(generated);
+  out += " tested=" + std::to_string(tested);
+  out += "\nviews_touched=" + JoinSet(views_touched);
+  out += "\nfired_constraints=" + JoinSet(fired_constraints);
+  return out;
+}
+
+/// The mediator's plan set for \p query must render exactly as the full
+/// scan's total rewritings over the same capability views.
+void ExpectPlansMatchFullScan(const Mediator& mediator,
+                              const TslQuery& query) {
+  RewriteOptions options;
+  options.constraints = mediator.constraints();
+  options.require_total = true;
+  auto full = RewriteQuery(query, ViewsOf(mediator.sources()), options);
+  ASSERT_TRUE(full.ok()) << full.status();
+  std::vector<std::string> full_rewritings;
+  for (const TslQuery& rw : full->rewritings) {
+    full_rewritings.push_back(rw.ToString());
+  }
+
+  MetricRegistry metrics;
+  auto plans = mediator.Plan(query, 1, nullptr, &metrics);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  std::vector<std::string> planned;
+  for (const MediatorPlan& plan : plans->plans) {
+    planned.push_back(plan.rewriting.ToString());
+  }
+  EXPECT_EQ(RenderSearch(planned, plans->search.candidates_generated,
+                         plans->search.candidates_tested,
+                         plans->footprint.view_names,
+                         plans->footprint.fired_constraints),
+            RenderSearch(full_rewritings, full->candidates_generated,
+                         full->candidates_tested, full->views_touched,
+                         full->fired_constraints));
+  EXPECT_EQ(plans->truncated, full->truncated);
+  // The search really went through the mediator's own index.
+  EXPECT_EQ(metrics.GetCounter("catalog.index_probes")->value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("catalog.index_misses")->value(), 0u);
+}
+
 TEST(CatalogEquivalenceTest, MediatorAnswersIdenticallyThroughTheIndex) {
-  auto sources = BiblioSources();
-  auto index = CompileCatalog(sources, nullptr);
-  ASSERT_TRUE(index.ok()) << index.status();
-
-  auto plain = Mediator::Make(sources, nullptr);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  auto indexed = Mediator::Make(sources, nullptr, *index);
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-  ASSERT_NE(indexed->catalog_index(), nullptr);
-
+  auto mediator = Mediator::Make(BiblioSources(), nullptr);
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
   SourceCatalog catalog = BiblioCatalog();
   TslQuery query = Sigmod97Query();
-  auto a = plain->Answer(query, catalog);
-  auto b = indexed->Answer(query, catalog);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(RenderAnswer(*a), RenderAnswer(*b));
+  ExpectPlansMatchFullScan(*mediator, query);
+
+  auto answer = mediator->Answer(query, catalog);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_TRUE(answer->complete());
+  auto expected = Evaluate(query, catalog, {.answer_name = query.name});
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_TRUE(answer->result.Equals(*expected))
+      << answer->result.ToString() << "\nvs\n" << expected->ToString();
 }
 
 TEST(CatalogEquivalenceTest, DegradedAnswersAreIdenticalUnderFaults) {
-  auto sources = BiblioSources();
-  auto index = CompileCatalog(sources, nullptr);
-  ASSERT_TRUE(index.ok()) << index.status();
-  auto plain = Mediator::Make(sources, nullptr);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  auto indexed = Mediator::Make(sources, nullptr, *index);
-  ASSERT_TRUE(indexed.ok()) << indexed.status();
-
+  auto mediator = Mediator::Make(BiblioSources(), nullptr);
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
   SourceCatalog catalog = BiblioCatalog();
-  // Two-source query so killing s1 degrades instead of failing: both
-  // mediators must walk the same plans, declare the same source dead, and
-  // produce the same maximally-contained answer.
+  // With s1 dead every plan fails over into the \S7 fallback: the
+  // mediator must walk the full scan's plans, declare the same source
+  // dead, and stay sound against the reference evaluator — and a replay
+  // under the same seed must render byte for byte the same.
   TslQuery query = MustParse(
       "<f(P) out yes> :- <P publication {<U year \"1997\">}>@s1",
       "Q97");
+  ExpectPlansMatchFullScan(*mediator, query);
+  auto expected = Evaluate(query, catalog, {.answer_name = query.name});
+  ASSERT_TRUE(expected.ok()) << expected.status();
   for (uint64_t seed = 0; seed < 4; ++seed) {
-    auto run = [&](const Mediator& mediator) -> std::string {
+    auto run = [&]() -> std::optional<DegradedAnswer> {
       CatalogWrapper base;
       VirtualClock clock;
       FaultInjector injector(&base, seed, &clock);
@@ -244,14 +333,22 @@ TEST(CatalogEquivalenceTest, DegradedAnswersAreIdenticalUnderFaults) {
       policy.seed = seed;
       policy.retry.max_attempts = 2;
       policy.retry.initial_backoff_ticks = 1;
-      auto answer = mediator.Answer(query, catalog, policy);
+      auto answer = mediator->Answer(query, catalog, policy);
       EXPECT_TRUE(answer.ok()) << answer.status();
-      return answer.ok() ? RenderAnswer(*answer) : std::string();
+      if (!answer.ok()) return std::nullopt;
+      return std::move(answer).value();
     };
-    std::string a = run(*plain);
-    std::string b = run(*indexed);
-    EXPECT_EQ(a, b) << "seed " << seed;
-    EXPECT_NE(a.find("unreachable:s1"), std::string::npos) << a;
+    std::optional<DegradedAnswer> a = run();
+    std::optional<DegradedAnswer> b = run();
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    EXPECT_EQ(RenderAnswer(*a), RenderAnswer(*b)) << "seed " << seed;
+    EXPECT_EQ(a->completeness, Completeness::kDegraded) << "seed " << seed;
+    EXPECT_EQ(a->unreachable_sources, std::vector<std::string>{"s1"});
+    // Sound: every root served is a root of the reference answer.
+    for (const Term& root : a->result.roots()) {
+      EXPECT_NE(expected->Find(root), nullptr)
+          << "seed " << seed << ": " << root.ToString();
+    }
   }
 }
 

@@ -10,12 +10,13 @@
 
 #include "analysis/diagnostic.h"
 #include "catalog/diff.h"
-#include "catalog/signature.h"
 #include "constraints/dtd.h"
 #include "fixtures.h"
 #include "obs/metrics.h"
 #include "rewrite/chase.h"
 #include "rewrite/rewriter.h"
+#include "rewrite/signature.h"
+#include "rewrite/view_index.h"
 #include "tsl/parser.h"
 
 namespace tslrw {
@@ -67,17 +68,21 @@ TEST(CatalogCompilerTest, IndexesACleanCatalogWithoutDiagnostics) {
   };
   auto catalog = MustCompile(views);
   ASSERT_EQ(catalog->entries().size(), 2u);
+  ASSERT_EQ(catalog->index().views().size(), 2u);
   for (const CompiledViewEntry& e : catalog->entries()) {
-    EXPECT_EQ(e.state, CompiledViewState::kIndexed);
     EXPECT_EQ(e.source, "db");
     EXPECT_NE(e.raw_fingerprint, 0u);
-    EXPECT_FALSE(e.chased_text.empty());
-    EXPECT_FALSE(e.required.empty());
-    EXPECT_FALSE(e.anchor.empty());
-    EXPECT_TRUE(std::binary_search(e.required.begin(), e.required.end(),
-                                   e.anchor));
+    EXPECT_NE(e.chased_fingerprint, 0u);
   }
-  EXPECT_TRUE(catalog->servable());
+  for (const IndexedView& v : catalog->index().views()) {
+    EXPECT_EQ(v.state, IndexedViewState::kIndexed);
+    EXPECT_FALSE(v.chased.body.empty());
+    EXPECT_FALSE(v.required.empty());
+    EXPECT_FALSE(v.anchor.empty());
+    EXPECT_TRUE(std::binary_search(v.required.begin(), v.required.end(),
+                                   v.anchor));
+  }
+  EXPECT_TRUE(catalog->index().servable());
   EXPECT_EQ(catalog->error_count(), 0u);
   EXPECT_TRUE(catalog->diagnostics().empty())
       << catalog->diagnostics().front().ToString();
@@ -113,8 +118,8 @@ TEST(CatalogCompilerTest, Tsl200FlagsSubsumedViews) {
   auto catalog = MustCompile(views);
   ASSERT_FALSE(catalog->lattice().empty());
   const CatalogLatticeEdge& edge = catalog->lattice().front();
-  EXPECT_EQ(catalog->entries()[edge.subsumed].name, "Narrow");
-  EXPECT_EQ(catalog->entries()[edge.subsuming].name, "Wide");
+  EXPECT_EQ(catalog->index().views()[edge.subsumed].name, "Narrow");
+  EXPECT_EQ(catalog->index().views()[edge.subsuming].name, "Wide");
   EXPECT_FALSE(edge.equivalent);
 
   const Diagnostic* d = FindDiag(*catalog, DiagCode::kViewSubsumed, "Narrow");
@@ -137,12 +142,12 @@ TEST(CatalogCompilerTest, Tsl202FlagsViewsProvenEmptyByTheChase) {
       MustParse("<v(P') vout Z'> :- <P' root {<X' leaf Z'>}>@db", "Live"),
   };
   auto catalog = MustCompile(views, &constraints);
-  const CompiledViewEntry* empty = nullptr;
-  for (const CompiledViewEntry& e : catalog->entries()) {
-    if (e.name == "Empty") empty = &e;
+  const IndexedView* empty = nullptr;
+  for (const IndexedView& v : catalog->index().views()) {
+    if (v.name == "Empty") empty = &v;
   }
   ASSERT_NE(empty, nullptr);
-  EXPECT_EQ(empty->state, CompiledViewState::kUnsatisfiable);
+  EXPECT_EQ(empty->state, IndexedViewState::kUnsatisfiable);
 
   const Diagnostic* d =
       FindDiag(*catalog, DiagCode::kViewUnsatisfiable, "Empty");
@@ -152,7 +157,7 @@ TEST(CatalogCompilerTest, Tsl202FlagsViewsProvenEmptyByTheChase) {
   EXPECT_GE(catalog->error_count(), 1u);
   // An unsatisfiable view is still a servable catalog: probes skip it,
   // exactly as the full scan drops it.
-  EXPECT_TRUE(catalog->servable());
+  EXPECT_TRUE(catalog->index().servable());
 }
 
 TEST(CatalogCompilerTest, Tsl203FlagsBoundVariablesAbsentFromTheHead) {
@@ -179,8 +184,8 @@ TEST(CatalogCompilerTest, Tsl204BudgetedViewsFallBackToOnlineChase) {
   CatalogCompileOptions options;
   options.max_chase_conditions = 0;
   auto catalog = MustCompile(views, nullptr, options);
-  ASSERT_EQ(catalog->entries().size(), 1u);
-  EXPECT_EQ(catalog->entries()[0].state, CompiledViewState::kAlwaysScan);
+  ASSERT_EQ(catalog->index().views().size(), 1u);
+  EXPECT_EQ(catalog->index().views()[0].state, IndexedViewState::kAlwaysScan);
 
   const Diagnostic* d =
       FindDiag(*catalog, DiagCode::kChaseBudgetExceeded, "Big");
@@ -195,7 +200,7 @@ TEST(CatalogCompilerTest, Tsl204BudgetedViewsFallBackToOnlineChase) {
   auto full = RewriteQuery(query, views, plain);
   ASSERT_TRUE(full.ok()) << full.status();
   RewriteOptions indexed;
-  indexed.view_index = catalog.get();
+  indexed.view_index = &catalog->index();
   auto fast = RewriteQuery(query, views, indexed);
   ASSERT_TRUE(fast.ok()) << fast.status();
   ASSERT_EQ(full->rewritings.size(), fast->rewritings.size());
@@ -247,8 +252,8 @@ TEST(CatalogCompilerTest, ProbeSkipsViewsWhoseSignaturesCannotMap) {
   ASSERT_TRUE(chased.ok()) << chased.status();
 
   ViewProbeOutcome outcome;
-  auto probed =
-      catalog->ChasedViewsFor(*chased, views, chase_options, &outcome);
+  auto probed = catalog->index().ChasedViewsFor(*chased, views,
+                                                chase_options, &outcome);
   ASSERT_TRUE(probed.ok()) << probed.status();
   ASSERT_TRUE(probed->has_value());
   // L1 requires the ground label l1 the query cannot provide: no
@@ -275,8 +280,8 @@ TEST(CatalogCompilerTest, ProbeForceIncludesViewsTheQueryNames) {
   ASSERT_TRUE(chased.ok()) << chased.status();
 
   ViewProbeOutcome outcome;
-  auto probed =
-      catalog->ChasedViewsFor(*chased, views, chase_options, &outcome);
+  auto probed = catalog->index().ChasedViewsFor(*chased, views,
+                                                chase_options, &outcome);
   ASSERT_TRUE(probed.ok()) << probed.status();
   ASSERT_TRUE(probed->has_value());
   EXPECT_EQ(outcome.admitted, 1u);
@@ -291,20 +296,21 @@ TEST(CatalogCompilerTest, CoversViewsRequiresTheExactViewVector) {
                 "B"),
   };
   auto catalog = MustCompile(views);
-  EXPECT_TRUE(catalog->CoversViews(views));
+  const ViewIndex& index = catalog->index();
+  EXPECT_TRUE(index.CoversViews(views));
   // Subsets (failover replans) and permutations decline: the probe answers
   // only for the compiled catalog, everything else takes the full scan.
-  EXPECT_FALSE(catalog->CoversViews({views[0]}));
-  EXPECT_FALSE(catalog->CoversViews({views[1], views[0]}));
-  EXPECT_FALSE(catalog->CoversViews({}));
+  EXPECT_FALSE(index.CoversViews({views[0]}));
+  EXPECT_FALSE(index.CoversViews({views[1], views[0]}));
+  EXPECT_FALSE(index.CoversViews({}));
 
   ChaseOptions chase_options = CompileChaseOptions(views, nullptr);
   TslQuery query =
       MustParse("<f(P) out yes> :- <P root {<X l0 W>}>@db", "Q");
   auto chased = ChaseQuery(query, chase_options);
   ASSERT_TRUE(chased.ok()) << chased.status();
-  auto probed = catalog->ChasedViewsFor(*chased, {views[0]}, chase_options,
-                                        nullptr);
+  auto probed =
+      index.ChasedViewsFor(*chased, {views[0]}, chase_options, nullptr);
   ASSERT_TRUE(probed.ok()) << probed.status();
   EXPECT_FALSE(probed->has_value());
 }
@@ -336,8 +342,8 @@ TEST(CatalogCompilerTest, InvalidViewsMakeTheCatalogUnservable) {
                 "Good"),
   };
   auto catalog = MustCompile(views);
-  EXPECT_FALSE(catalog->servable());
-  EXPECT_FALSE(catalog->CoversViews(views));
+  EXPECT_FALSE(catalog->index().servable());
+  EXPECT_FALSE(catalog->index().CoversViews(views));
   EXPECT_FALSE(catalog->ValidateAgainst(views, nullptr).ok());
   // The analyzer fold reports the specifics as error-level findings.
   EXPECT_GE(catalog->error_count(), 1u);

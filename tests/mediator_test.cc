@@ -1,10 +1,14 @@
 #include "mediator/mediator.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "eval/evaluator.h"
 #include "fixtures.h"
 #include "mediator/cache.h"
+#include "obs/metrics.h"
 #include "tsl/parser.h"
 
 namespace tslrw {
@@ -310,6 +314,55 @@ TEST(MediatorTest, AnalysisReportRetainsWarnings) {
   EXPECT_FALSE(mediator->analysis().has_errors());
   EXPECT_GE(mediator->analysis().count(Severity::kWarning), 2u)
       << mediator->analysis().ToString();
+}
+
+TEST(MediatorTest, PlanSearchSkipsFillerViewsThroughItsIndex) {
+  // Five filler capabilities over s1 whose bodies need a label no
+  // bibliography query mentions: the index built at Make proves they
+  // admit no containment mapping, so the search never maps them — and
+  // finds exactly the mappings the full scan finds.
+  std::vector<Capability> s1_caps = {Year97Capability()};
+  for (int i = 0; i < 5; ++i) {
+    Capability filler;
+    filler.view = MustParse(
+        "<fill" + std::to_string(i) + "(P') pub {<X' Y' Z'>}> :- <P' filler" +
+            std::to_string(i) + " {<X' Y' Z'>}>@s1",
+        "Filler" + std::to_string(i));
+    s1_caps.push_back(filler);
+  }
+  std::vector<SourceDescription> sources = {
+      SourceDescription{"s1", s1_caps},
+      SourceDescription{"s2", {DumpCapability()}}};
+  auto mediator = Mediator::Make(sources);
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
+  TslQuery query = MustParse(
+      "<f(P) sigmod97 yes> :- "
+      "<P publication {<U year \"1997\">}>@s1 AND "
+      "<P publication {<V venue \"SIGMOD\">}>@s1",
+      "Sigmod97");
+
+  MetricRegistry metrics;
+  auto plans = mediator->Plan(query, 1, nullptr, &metrics);
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_GE(plans->size(), 1u);
+  EXPECT_EQ(plans->front().views_used, std::vector<std::string>{"Y97"});
+  EXPECT_EQ(metrics.GetCounter("catalog.index_probes")->value(), 1u);
+  // The five fillers, plus Dump2, whose s2 body cannot map into an s1-only
+  // query.
+  EXPECT_EQ(metrics.GetCounter("catalog.index_views_skipped")->value(), 6u);
+  EXPECT_EQ(metrics.GetCounter("catalog.index_views_admitted")->value(), 1u);
+
+  std::vector<TslQuery> views;
+  for (const SourceDescription& sd : sources) {
+    for (const Capability& cap : sd.capabilities) views.push_back(cap.view);
+  }
+  RewriteOptions full_scan;
+  full_scan.require_total = true;
+  auto full = RewriteQuery(query, views, full_scan);
+  ASSERT_TRUE(full.ok()) << full.status();
+  EXPECT_EQ(metrics.GetCounter("rewrite.mappings_found")->value(),
+            full->mappings_found);
+  EXPECT_GT(full->mappings_found, 0u);
 }
 
 TEST(QueryCacheTest, InsertValidatesNames) {

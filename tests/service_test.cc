@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "catalog/compiler.h"
 #include "fixtures.h"
 #include "mediator/fault.h"
 #include "mediator/mediator.h"
@@ -774,133 +773,6 @@ TEST(QueryServerTest, RequestsUnderConcurrentSwapsSeeAConsistentSnapshot) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(bad_renderings.load(), 0);
   EXPECT_EQ(server.stats().catalog_swaps, 41u);
-}
-
-// --- compiled catalog index on the serving path -----------------------------
-
-std::vector<SourceDescription> BiblioSources() {
-  Capability y97;
-  y97.view = MustParse(
-      "<y97(P') pub {<X' Y' Z'>}> :- "
-      "<P' publication {<U' year \"1997\">}>@s1 AND "
-      "<P' publication {<X' Y' Z'>}>@s1",
-      "Y97");
-  Capability dump;
-  dump.view = MustParse(
-      "<dump(P') pub {<X' Y' Z'>}> :- <P' publication {<X' Y' Z'>}>@s2",
-      "Dump2");
-  return {SourceDescription{"s1", {y97}}, SourceDescription{"s2", {dump}}};
-}
-
-std::shared_ptr<const CompiledCatalog> BiblioIndex() {
-  auto index = CompileCatalog(BiblioSources(), nullptr);
-  EXPECT_TRUE(index.ok()) << index.status();
-  return std::move(index).ValueOrDie();
-}
-
-TEST(QueryServerTest, AttachedIndexKeepsAnswersAndThePlanCache) {
-  QueryServer server(MakeBiblioMediator(), BiblioCatalog());
-  TslQuery query = Sigmod97Query();
-  auto before = server.Answer(query);
-  ASSERT_TRUE(before.ok()) << before.status();
-  EXPECT_FALSE(server.has_catalog_index());
-
-  auto index = BiblioIndex();
-  ASSERT_TRUE(server.AttachCatalogIndex(index).ok());
-  EXPECT_TRUE(server.has_catalog_index());
-  EXPECT_EQ(server.catalog_index_fingerprint(),
-            index->catalog_fingerprint());
-
-  auto after = server.Answer(query);
-  ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_TRUE(after->answer.result.Equals(before->answer.result));
-  // Indexed plan lists are byte-identical, so the attach kept the cache.
-  EXPECT_TRUE(after->plan_cache_hit);
-
-  ASSERT_TRUE(server.AttachCatalogIndex(nullptr).ok());
-  EXPECT_FALSE(server.has_catalog_index());
-  EXPECT_EQ(server.catalog_index_fingerprint(), 0u);
-}
-
-TEST(QueryServerTest, StaleIndexIsRejectedAtAttach) {
-  QueryServer server(MakeBiblioMediator(), BiblioCatalog());
-  // An index compiled for a different view set must not be ingested.
-  auto stale_sources = BiblioSources();
-  stale_sources.pop_back();
-  auto stale = CompileCatalog(stale_sources, nullptr);
-  ASSERT_TRUE(stale.ok()) << stale.status();
-  EXPECT_FALSE(server.AttachCatalogIndex(*stale).ok());
-  EXPECT_FALSE(server.has_catalog_index());
-}
-
-TEST(QueryServerTest, IndexCarriesAcrossMatchingSwapsAndDropsOnStale) {
-  MetricRegistry metrics;
-  ServerOptions options;
-  options.metrics = &metrics;
-  QueryServer server(MakeBiblioMediator(), BiblioCatalog(), options);
-  auto index = BiblioIndex();
-  ASSERT_TRUE(server.AttachCatalogIndex(index).ok());
-  EXPECT_EQ(metrics.GetCounter("catalog.index_attached")->value(), 1u);
-
-  // Same capability set: the stale-index guard re-validates and carries
-  // the index into the new snapshot.
-  server.ReplaceMediator(MakeBiblioMediator());
-  EXPECT_TRUE(server.has_catalog_index());
-  EXPECT_EQ(server.catalog_index_fingerprint(),
-            index->catalog_fingerprint());
-  EXPECT_EQ(metrics.GetCounter("catalog.index_carried")->value(), 1u);
-
-  // Shrunken capability set: validation fails, the index is dropped, and
-  // the server scans — serving a stale index would be unsound.
-  auto small_sources = BiblioSources();
-  small_sources.pop_back();
-  auto small = Mediator::Make(small_sources, nullptr);
-  ASSERT_TRUE(small.ok()) << small.status();
-  server.ReplaceMediator(std::move(small).ValueOrDie());
-  EXPECT_FALSE(server.has_catalog_index());
-  EXPECT_EQ(metrics.GetCounter("catalog.index_dropped_stale")->value(), 1u);
-}
-
-TEST(QueryServerTest, RequestsUnderConcurrentIndexSwapsAreIdentical) {
-  // Readers hammer the server while a writer attaches/detaches the index
-  // and replaces the mediator; indexed and scanned plans are byte-identical
-  // so every response must render exactly the same answer.
-  QueryServer server(MakeBiblioMediator(), BiblioCatalog(),
-                     SmallServer(4, 256));
-  TslQuery query = Sigmod97Query();
-  auto expected = server.Answer(query);
-  ASSERT_TRUE(expected.ok()) << expected.status();
-  const std::string expected_rendering =
-      expected->answer.result.ToString();
-  auto index = BiblioIndex();
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> bad{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load()) {
-        auto response = server.Answer(query);
-        if (!response.ok()) {
-          ADD_FAILURE() << response.status();
-          bad.fetch_add(1);
-          return;
-        }
-        if (response->answer.result.ToString() != expected_rendering) {
-          bad.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (int swap = 0; swap < 20; ++swap) {
-    ASSERT_TRUE(server.AttachCatalogIndex(index).ok());
-    server.ReplaceMediator(MakeBiblioMediator());  // index carries over
-    ASSERT_TRUE(server.AttachCatalogIndex(nullptr).ok());
-  }
-  stop.store(true);
-  for (std::thread& t : readers) t.join();
-  EXPECT_EQ(bad.load(), 0);
-  EXPECT_FALSE(server.has_catalog_index());
 }
 
 }  // namespace
