@@ -71,7 +71,8 @@ class Analyzer {
 
   /// Per-rule passes over each rule, then the cross-rule dead-view pass
   /// (each rule tested for being fully covered by the others). This is the
-  /// entry point the mediator uses on its capability views.
+  /// entry point of `tslrw_analyze` and the shell's `analyze`; the mediator
+  /// runs it with `detect_dead_views` off, since only errors refuse views.
   AnalysisReport AnalyzeRules(const std::vector<TslQuery>& rules) const;
 
   /// Parses \p text as a TSL program and analyzes it; parse failures are

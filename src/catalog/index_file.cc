@@ -78,6 +78,15 @@ class Reader {
     return s;
   }
 
+  /// An element count. Every element takes at least one byte, so a count
+  /// above the bytes left is corrupt: refusing it keeps a mutated count
+  /// from sizing a reserve() by gigabytes.
+  Result<uint32_t> Count() {
+    TSLRW_ASSIGN_OR_RETURN(uint32_t n, U32());
+    TSLRW_RETURN_NOT_OK(Need(n));
+    return n;
+  }
+
   bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
@@ -169,7 +178,7 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
   if (truncated_byte > 1) {
     return Status::DataLoss("catalog index flag byte is not a boolean");
   }
-  TSLRW_ASSIGN_OR_RETURN(uint32_t entry_count, r.U32());
+  TSLRW_ASSIGN_OR_RETURN(uint32_t entry_count, r.Count());
   std::vector<IndexedView> views;
   std::vector<CompiledViewEntry> entries;
   views.reserve(entry_count);
@@ -197,14 +206,14 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
       }
       v.chased = std::move(parsed).value();
     }
-    TSLRW_ASSIGN_OR_RETURN(uint32_t required_count, r.U32());
+    TSLRW_ASSIGN_OR_RETURN(uint32_t required_count, r.Count());
     v.required.reserve(required_count);
     for (uint32_t k = 0; k < required_count; ++k) {
       TSLRW_ASSIGN_OR_RETURN(std::string f, r.String());
       v.required.push_back(std::move(f));
     }
     TSLRW_ASSIGN_OR_RETURN(v.anchor, r.String());
-    TSLRW_ASSIGN_OR_RETURN(uint32_t bound_count, r.U32());
+    TSLRW_ASSIGN_OR_RETURN(uint32_t bound_count, r.Count());
     e.bound_variables.reserve(bound_count);
     for (uint32_t k = 0; k < bound_count; ++k) {
       TSLRW_ASSIGN_OR_RETURN(std::string b, r.String());
@@ -213,13 +222,13 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
     views.push_back(std::move(v));
     entries.push_back(std::move(e));
   }
-  TSLRW_ASSIGN_OR_RETURN(uint32_t fired_count, r.U32());
+  TSLRW_ASSIGN_OR_RETURN(uint32_t fired_count, r.Count());
   std::set<std::string> fired;
   for (uint32_t i = 0; i < fired_count; ++i) {
     TSLRW_ASSIGN_OR_RETURN(std::string key, r.String());
     fired.insert(std::move(key));
   }
-  TSLRW_ASSIGN_OR_RETURN(uint32_t edge_count, r.U32());
+  TSLRW_ASSIGN_OR_RETURN(uint32_t edge_count, r.Count());
   std::vector<CatalogLatticeEdge> lattice;
   lattice.reserve(edge_count);
   for (uint32_t i = 0; i < edge_count; ++i) {
@@ -233,7 +242,7 @@ Result<std::shared_ptr<const CompiledCatalog>> DeserializePayload(
     edge.equivalent = eq == 1;
     lattice.push_back(edge);
   }
-  TSLRW_ASSIGN_OR_RETURN(uint32_t diag_count, r.U32());
+  TSLRW_ASSIGN_OR_RETURN(uint32_t diag_count, r.Count());
   std::vector<Diagnostic> diagnostics;
   diagnostics.reserve(diag_count);
   for (uint32_t i = 0; i < diag_count; ++i) {

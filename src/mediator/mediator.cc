@@ -6,6 +6,7 @@
 #include <set>
 #include <tuple>
 
+#include "analysis/analyzer.h"
 #include "common/string_util.h"
 #include "ir/compiler.h"
 #include "ir/interp.h"
@@ -108,12 +109,15 @@ std::string MediatorPlan::ToString() const {
 Result<Mediator> Mediator::Make(std::vector<SourceDescription> sources,
                                 const StructuralConstraints* constraints) {
   TSLRW_RETURN_NOT_OK(ValidateDescriptions(sources));
-  // Run the static analyzer over all capability views: a view with
-  // error-level diagnostics would poison every rewriting that uses it, so
-  // refuse to build the mediator. Warnings (dead views, redundant
-  // conditions) are kept for the caller to log.
+  // Run the analyzer's per-rule passes over all capability views: a view
+  // with error-level diagnostics would poison every rewriting that uses
+  // it, so refuse to build the mediator. Only errors matter here, and
+  // every error code comes from a per-rule pass, so the cross-rule
+  // dead-view search (one rewriting search per view, warnings only) stays
+  // with the offline analyzer.
   AnalyzerOptions analyzer_options;
   analyzer_options.constraints = constraints;
+  analyzer_options.detect_dead_views = false;
   std::vector<TslQuery> views;
   for (const SourceDescription& sd : sources) {
     for (const Capability& cap : sd.capabilities) {
@@ -126,7 +130,7 @@ Result<Mediator> Mediator::Make(std::vector<SourceDescription> sources,
     return Status::IllFormedQuery(
         StrCat("capability views failed analysis:\n", report.ToString()));
   }
-  Mediator mediator(std::move(sources), constraints, std::move(report));
+  Mediator mediator(std::move(sources), constraints);
   mediator.hedge_partners_ = ComputeHedgePartners(mediator.sources_);
   mediator.views_ = std::move(views);
   mediator.view_index_ = std::make_shared<const ViewIndex>(

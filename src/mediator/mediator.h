@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyzer.h"
 #include "common/result.h"
 #include "constraints/inference.h"
 #include "maint/footprint.h"
@@ -151,11 +150,16 @@ struct DegradedAnswer {
 class Mediator {
  public:
   /// \param sources wrapped source descriptions (validated, then run
-  ///        through the static analyzer: error-level diagnostics on any
-  ///        capability view make Make fail with the rendered report, and
-  ///        warnings are kept in analysis() for the caller to surface).
+  ///        through the analyzer's per-rule passes: error-level
+  ///        diagnostics on any capability view make Make fail with
+  ///        kIllFormedQuery and the rendered report; warnings refuse
+  ///        nothing and are not kept).
   /// \param constraints optional DTD-derived constraints on the source
   ///        data, forwarded to the rewriter (\S3.3) and the analyzer.
+  ///
+  /// The cross-rule TSL104 dead-view pass does not run here: it costs one
+  /// maximally-contained rewriting search per view and only yields
+  /// warnings. `tslrw_analyze` and the shell's `analyze` report it.
   ///
   /// Make also builds the mediator's view index (rewrite/view_index.h):
   /// every capability view is chased once here, so each plan search chases
@@ -251,11 +255,6 @@ class Mediator {
   /// The maintenance layer diffs them across snapshot swaps.
   const StructuralConstraints* constraints() const { return constraints_; }
 
-  /// The analyzer's report over all capability views, produced at Make
-  /// time. Error-free by construction (errors fail Make); may carry
-  /// warnings (dead views, redundant conditions, ...) worth logging.
-  const AnalysisReport& analysis() const { return analysis_; }
-
  private:
   /// Shared state of one fault-tolerant execution.
   struct ExecContext {
@@ -273,10 +272,8 @@ class Mediator {
   };
 
   Mediator(std::vector<SourceDescription> sources,
-           const StructuralConstraints* constraints, AnalysisReport analysis)
-      : sources_(std::move(sources)),
-        constraints_(constraints),
-        analysis_(std::move(analysis)) {}
+           const StructuralConstraints* constraints)
+      : sources_(std::move(sources)), constraints_(constraints) {}
 
   /// The capability owning view \p name; nullptr if unknown.
   const Capability* FindCapability(const std::string& name) const;
@@ -362,7 +359,6 @@ class Mediator {
 
   std::vector<SourceDescription> sources_;
   const StructuralConstraints* constraints_;
-  AnalysisReport analysis_;
   /// view name -> the other capability views that are valid hedge targets
   /// for it: α-equivalent view queries (equal canonical keys) over the same
   /// source with the same bound-variable set, name-sorted. Computed once at

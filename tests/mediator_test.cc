@@ -1,10 +1,12 @@
 #include "mediator/mediator.h"
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "constraints/dtd.h"
 #include "eval/evaluator.h"
 #include "fixtures.h"
 #include "mediator/cache.h"
@@ -302,18 +304,45 @@ TEST(MediatorTest, AnalyzerRefusesErrorLevelCapabilityViews) {
       << mediator.status();
 }
 
-TEST(MediatorTest, AnalysisReportRetainsWarnings) {
-  // Two interchangeable capability views: each is dead given the other, a
-  // warning (TSL104) worth surfacing but no reason to refuse the sources.
+TEST(MediatorTest, MakeRefusesViewsUnsatisfiableUnderConstraints) {
+  // Every error-level code comes from a per-rule pass, so Make refuses
+  // without the cross-rule dead-view pass: TSL001 above, TSL006 here.
+  // The person DTD gives `p` no `zebra` child, so this body can match no
+  // conforming data; without the constraints it is satisfiable.
+  auto dtd = Dtd::Parse(testing::kPersonDtd);
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  StructuralConstraints constraints(std::move(dtd).value());
+  Capability zebra;
+  zebra.view =
+      MustParse("<z(P') out yes> :- <P' p {<Z' zebra u>}>@db", "Zebra");
+  auto unsatisfiable =
+      Mediator::Make({SourceDescription{"db", {zebra}}}, &constraints);
+  ASSERT_FALSE(unsatisfiable.ok());
+  EXPECT_EQ(unsatisfiable.status().code(), StatusCode::kIllFormedQuery);
+  EXPECT_NE(unsatisfiable.status().message().find("TSL006"),
+            std::string::npos)
+      << unsatisfiable.status();
+  EXPECT_TRUE(Mediator::Make({SourceDescription{"db", {zebra}}}).ok());
+}
+
+TEST(MediatorTest, MakeAcceptsInterchangeableViews) {
+  // Two interchangeable capability views: each is dead given the other
+  // (TSL104, which the offline analyzer reports), but warnings never
+  // refuse the sources, and both views stay usable plans.
   Capability a;
   a.view = MustParse("<da(X') pub Z'> :- <X' publication Z'>@s1", "Da");
   Capability b;
   b.view = MustParse("<db(X') pub Z'> :- <X' publication Z'>@s1", "Db");
   auto mediator = Mediator::Make({SourceDescription{"s1", {a, b}}});
   ASSERT_TRUE(mediator.ok()) << mediator.status();
-  EXPECT_FALSE(mediator->analysis().has_errors());
-  EXPECT_GE(mediator->analysis().count(Severity::kWarning), 2u)
-      << mediator->analysis().ToString();
+  auto plans = mediator->Plan(
+      MustParse("<f(X') pub Z'> :- <X' publication Z'>@s1", "Q"));
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  std::set<std::string> used;
+  for (const MediatorPlan& plan : *plans) {
+    used.insert(plan.views_used.begin(), plan.views_used.end());
+  }
+  EXPECT_EQ(used, (std::set<std::string>{"Da", "Db"}));
 }
 
 TEST(MediatorTest, PlanSearchSkipsFillerViewsThroughItsIndex) {
