@@ -92,7 +92,7 @@ void BM_ContainmentHardCase(benchmark::State& state) {
     benchmark::DoNotOptimize(le);
   }
 }
-BENCHMARK(BM_ContainmentHardCase)->DenseRange(1, 6);
+BENCHMARK(BM_ContainmentHardCase)->DenseRange(1, 12);
 
 }  // namespace
 }  // namespace tslrw::bench

@@ -1,6 +1,6 @@
 // The chaos-drill runner behind the CI resilience job: replays the
 // standard seeded fault script (endpoint flap, latency storm, flaky
-// network, index corruption, snapshot swap race, pool saturation)
+// network, source outage, snapshot swap race, pool saturation)
 // against a live QueryServer over a replicated bibliographic fixture,
 // runs every drill TWICE, and fails unless
 //

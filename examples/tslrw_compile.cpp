@@ -6,8 +6,7 @@
 //
 //   ./build/examples/tslrw_compile catalog.tsl
 //   ./build/examples/tslrw_compile --strict --dtd schema.dtd catalog.tsl
-//   ./build/examples/tslrw_compile -o catalog.tslrwix catalog.tsl
-//   ./build/examples/tslrw_compile --load catalog.tslrwix
+//   ./build/examples/tslrw_compile --lattice catalog.tsl
 //
 // Each input file is one catalog: every rule is a capability view, grouped
 // into sources by its body source. Lines of the form
@@ -16,9 +15,7 @@
 //
 // declare a binding pattern for a view (the `%` prefix makes them comments
 // to the TSL parser, so one file carries both). `--dtd FILE` chases under
-// the DTD's constraints, `-o FILE` writes the compiled index in the
-// TSLRWIX1 format (docs/CATALOG.md), `--load FILE` inspects an existing
-// index instead of compiling, and `--lattice` prints the subsumption edges.
+// the DTD's constraints, and `--lattice` prints the subsumption edges.
 //
 // Exit status: 0 on success, 1 when --strict was given and some catalog
 // produced an error-level diagnostic (the CI gate), 2 on I/O, parse, or
@@ -29,7 +26,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -37,7 +33,6 @@
 
 #include "analysis/diagnostic.h"
 #include "catalog/compiler.h"
-#include "catalog/index_file.h"
 #include "constraints/dtd.h"
 #include "constraints/inference.h"
 #include "tsl/parser.h"
@@ -53,8 +48,6 @@ struct Args {
   bool strict = false;
   bool lattice = false;
   std::string dtd_path;
-  std::string out_path;
-  std::string load_path;
   std::vector<std::string> files;
 };
 
@@ -135,28 +128,14 @@ int CompileOne(const Input& input,
       if (bind != binds.end()) capability.bound_variables = bind->second;
     }
   }
-  tslrw::Result<std::shared_ptr<const tslrw::CompiledCatalog>> compiled =
+  tslrw::Result<tslrw::CompiledCatalog> compiled =
       tslrw::CompileCatalog(sources, constraints);
   if (!compiled.ok()) {
     std::fprintf(stderr, "%s: compile error: %s\n", input.name.c_str(),
                  std::string(compiled.status().message()).c_str());
     return 2;
   }
-  *errors |= Report(**compiled, input, args.lattice);
-  if (!args.out_path.empty()) {
-    tslrw::Status saved =
-        tslrw::SaveCatalogIndex(**compiled, args.out_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s: cannot write %s: %s\n", input.name.c_str(),
-                   args.out_path.c_str(),
-                   std::string(saved.message()).c_str());
-      return 2;
-    }
-    std::printf("%s: wrote index %s (fingerprint %llu)\n",
-                input.name.c_str(), args.out_path.c_str(),
-                static_cast<unsigned long long>(
-                    (*compiled)->catalog_fingerprint()));
-  }
+  *errors |= Report(*compiled, input, args.lattice);
   return 0;
 }
 
@@ -164,8 +143,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: tslrw_compile [--strict] [--lattice] [--dtd FILE]\n"
-      "                     [-o INDEX] [catalog.tsl ...]\n"
-      "       tslrw_compile --load INDEX [--lattice]\n");
+      "                     [catalog.tsl ...]\n");
   return 2;
 }
 
@@ -181,39 +159,12 @@ int main(int argc, char** argv) {
       args.lattice = true;
     } else if (arg == "--dtd" && i + 1 < argc) {
       args.dtd_path = argv[++i];
-    } else if (arg == "-o" && i + 1 < argc) {
-      args.out_path = argv[++i];
-    } else if (arg == "--load" && i + 1 < argc) {
-      args.load_path = argv[++i];
     } else if (!arg.empty() && arg[0] == '-') {
       return Usage();
     } else {
       args.files.push_back(arg);
     }
   }
-  if (!args.load_path.empty()) {
-    // Inspect mode: print an existing index's report without recompiling.
-    if (!args.files.empty() || !args.out_path.empty() ||
-        !args.dtd_path.empty()) {
-      return Usage();
-    }
-    tslrw::Result<std::shared_ptr<const tslrw::CompiledCatalog>> loaded =
-        tslrw::LoadCatalogIndex(args.load_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s: %s\n", args.load_path.c_str(),
-                   std::string(loaded.status().message()).c_str());
-      return 2;
-    }
-    Input input{args.load_path, ""};
-    int errors = 0;
-    errors |= Report(**loaded, input, args.lattice);
-    return args.strict ? errors : 0;
-  }
-  if (!args.out_path.empty() && args.files.size() > 1) {
-    std::fprintf(stderr, "-o expects exactly one catalog file\n");
-    return Usage();
-  }
-
   tslrw::StructuralConstraints constraints;
   const tslrw::StructuralConstraints* constraints_ptr = nullptr;
   if (!args.dtd_path.empty()) {

@@ -1,6 +1,5 @@
 #include "catalog/compiler.h"
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -20,6 +19,11 @@
 namespace tslrw {
 
 namespace {
+
+/// Budget on the lattice's containment tests, which are quadratic in the
+/// number of views before the signature prefilter: when it is hit,
+/// lattice_truncated() is set and the remaining pairs are skipped.
+constexpr size_t kMaxContainmentPairs = 10000;
 
 Diagnostic MakeDiag(DiagCode code, SourceSpan span, std::string rule,
                     std::string message) {
@@ -58,76 +62,15 @@ std::vector<SourceDescription> DescribeViews(
   return out;
 }
 
-Result<std::shared_ptr<const CompiledCatalog>> CompiledCatalog::Assemble(
-    ViewIndex index, std::vector<CompiledViewEntry> entries,
-    std::vector<CatalogLatticeEdge> lattice, bool lattice_truncated,
-    std::vector<Diagnostic> diagnostics, uint64_t constraints_fingerprint) {
-  const size_t n = index.views().size();
-  if (entries.size() != n) {
-    return Status::DataLoss(
-        StrCat("compiled catalog holds ", entries.size(),
-               " view record(s) for an index of ", n, " view(s)"));
-  }
-  for (const CatalogLatticeEdge& edge : lattice) {
-    if (edge.subsumed >= n || edge.subsuming >= n) {
-      return Status::DataLoss("lattice edge names a view ordinal outside the "
-                              "catalog");
-    }
-  }
-  std::shared_ptr<CompiledCatalog> catalog(
-      new CompiledCatalog(std::move(index)));
-  catalog->entries_ = std::move(entries);
-  catalog->lattice_ = std::move(lattice);
-  catalog->lattice_truncated_ = lattice_truncated;
-  catalog->constraints_fingerprint_ = constraints_fingerprint;
-  SortDiagnostics(&diagnostics);
-  catalog->diagnostics_ = std::move(diagnostics);
-  // The fingerprint covers what ValidateAgainst checks: the view identities
-  // (name + α-invariant definition + binding pattern, in order) and the
-  // constraints. Two catalogs agreeing here are interchangeable indexes.
-  std::string identity = StrCat("tslrw-catalog:", constraints_fingerprint);
-  for (size_t i = 0; i < n; ++i) {
-    const CompiledViewEntry& e = catalog->entries_[i];
-    identity += StrCat("|", catalog->index_.views()[i].name, ";",
-                       e.raw_fingerprint, ";",
-                       Join(e.bound_variables, ","));
-  }
-  catalog->catalog_fingerprint_ = StableFingerprint(identity);
-  return std::shared_ptr<const CompiledCatalog>(std::move(catalog));
-}
-
-Status CompiledCatalog::ValidateAgainst(
-    const std::vector<TslQuery>& views,
-    const StructuralConstraints* constraints) const {
-  const std::vector<IndexedView>& indexed = index_.views();
-  if (!index_.servable()) {
-    return Status::InvalidArgument(
-        "compiled catalog is unservable: a view failed validation at "
-        "compile time");
-  }
-  if (views.size() != indexed.size()) {
-    return Status::InvalidArgument(
-        StrCat("catalog index was compiled for ", indexed.size(),
-               " view(s) but the catalog has ", views.size()));
-  }
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (views[i].name != indexed[i].name) {
-      return Status::InvalidArgument(
-          StrCat("catalog index view ", i, " is ", indexed[i].name,
-                 " but the catalog has ", views[i].name));
-    }
-    if (CanonicalizeQuery(views[i]).fingerprint !=
-        entries_[i].raw_fingerprint) {
-      return Status::InvalidArgument(
-          StrCat("definition of view ", views[i].name,
-                 " changed since the index was compiled"));
-    }
-  }
-  if (ConstraintsFingerprint(constraints) != constraints_fingerprint_) {
-    return Status::InvalidArgument(
-        "catalog index was compiled under different structural constraints");
-  }
-  return Status::OK();
+CompiledCatalog::CompiledCatalog(ViewIndex index,
+                                 std::vector<CatalogLatticeEdge> lattice,
+                                 bool lattice_truncated,
+                                 std::vector<Diagnostic> diagnostics)
+    : index_(std::move(index)),
+      lattice_(std::move(lattice)),
+      lattice_truncated_(lattice_truncated),
+      diagnostics_(std::move(diagnostics)) {
+  SortDiagnostics(&diagnostics_);
 }
 
 size_t CompiledCatalog::error_count() const {
@@ -156,7 +99,7 @@ std::string CompiledCatalog::Summary() const {
       case Severity::kNote: ++notes; break;
     }
   }
-  return StrCat("compiled ", entries_.size(), " view(s): ", indexed,
+  return StrCat("compiled ", index_.views().size(), " view(s): ", indexed,
                 " indexed, ", always, " always-scan, ", unsat,
                 " unsatisfiable, ", invalid, " invalid; lattice: ",
                 lattice_.size(), lattice_truncated_ ? " edge(s), truncated"
@@ -165,7 +108,7 @@ std::string CompiledCatalog::Summary() const {
                 " note(s)");
 }
 
-Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
+Result<CompiledCatalog> CompileCatalog(
     const std::vector<SourceDescription>& sources,
     const StructuralConstraints* constraints,
     const CatalogCompileOptions& options) {
@@ -174,12 +117,10 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
   TSLRW_RETURN_NOT_OK(ValidateDescriptions(sources));
 
   std::vector<const Capability*> caps;
-  std::vector<std::string> cap_sources;
   std::vector<TslQuery> views;
   for (const SourceDescription& sd : sources) {
     for (const Capability& cap : sd.capabilities) {
       caps.push_back(&cap);
-      cap_sources.push_back(sd.source);
       views.push_back(cap.view);
     }
   }
@@ -203,16 +144,14 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
   chase_span.EndNow();
   const std::vector<IndexedView>& indexed_views = index.views();
 
-  std::vector<CompiledViewEntry> entries(n);
+  // α-invariant identity of each raw definition: TSL201 groups by it and
+  // the lattice skips the containment test for equal pairs.
+  std::vector<uint64_t> raw_fingerprint(n);
   std::vector<Diagnostic> diags;
   for (size_t i = 0; i < n; ++i) {
     const TslQuery& view = views[i];
     const IndexedView& iv = indexed_views[i];
-    CompiledViewEntry& e = entries[i];
-    e.source = cap_sources[i];
-    e.raw_fingerprint = CanonicalizeQuery(view).fingerprint;
-    e.bound_variables.assign(caps[i]->bound_variables.begin(),
-                             caps[i]->bound_variables.end());
+    raw_fingerprint[i] = CanonicalizeQuery(view).fingerprint;
 
     // TSL203: the mediator delivers a parameter by splicing the constant
     // into the capability head's instantiation, so a bound variable the
@@ -235,7 +174,6 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
 
     switch (iv.state) {
       case IndexedViewState::kIndexed:
-        e.chased_fingerprint = CanonicalizeQuery(iv.chased).fingerprint;
         break;
       case IndexedViewState::kAlwaysScan:
         // A hard chase failure fails the compile; only the budget leaves a
@@ -270,7 +208,7 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
   std::map<uint64_t, std::vector<size_t>> by_fingerprint;
   for (size_t i = 0; i < n; ++i) {
     if (indexed_views[i].state != IndexedViewState::kInvalid) {
-      by_fingerprint[entries[i].raw_fingerprint].push_back(i);
+      by_fingerprint[raw_fingerprint[i]].push_back(i);
     }
   }
   for (const auto& [fp, group] : by_fingerprint) {
@@ -292,121 +230,116 @@ Result<std::shared_ptr<const CompiledCatalog>> CompileCatalog(
   std::vector<CatalogLatticeEdge> lattice;
   bool truncated = false;
   size_t tested = 0;
-  if (options.compute_lattice) {
-    ScopedSpan lattice_span(options.tracer, "catalog.lattice");
-    std::vector<uint32_t> indexed;
-    for (size_t i = 0; i < n; ++i) {
-      if (indexed_views[i].state == IndexedViewState::kIndexed) {
-        indexed.push_back(static_cast<uint32_t>(i));
-      }
+  ScopedSpan lattice_span(options.tracer, "catalog.lattice");
+  std::vector<uint32_t> indexed;
+  for (size_t i = 0; i < n; ++i) {
+    if (indexed_views[i].state == IndexedViewState::kIndexed) {
+      indexed.push_back(static_cast<uint32_t>(i));
     }
-    std::vector<std::set<std::string>> provided(n);
-    for (uint32_t i : indexed) {
-      TSLRW_ASSIGN_OR_RETURN(QueryFeatureSet qf,
-                             ProvidedFeatures(indexed_views[i].chased));
-      provided[i] = std::move(qf.provided);
-    }
-    std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-    for (uint32_t j : indexed) {
-      std::optional<EquivalenceTester> tester;
-      for (uint32_t i : indexed) {
-        if (i == j) continue;
-        if (entries[i].raw_fingerprint == entries[j].raw_fingerprint) {
-          contained[i][j] = true;  // α-equivalent, no test needed
-          continue;
-        }
-        if (truncated) continue;
-        if (!FeaturesSubset(indexed_views[j].required, provided[i])) {
-          continue;
-        }
-        if (tested >= options.max_containment_pairs) {
-          truncated = true;
-          continue;
-        }
-        ++tested;
-        if (!tester.has_value()) {
-          Result<EquivalenceTester> made = EquivalenceTester::Make(
-              TslRuleSet::Single(indexed_views[j].chased), chase_options);
-          if (!made.ok()) return made.status();
-          tester.emplace(std::move(made).value());
-        }
-        TSLRW_ASSIGN_OR_RETURN(
-            bool c, tester->ContainedInReference(
-                        TslRuleSet::Single(indexed_views[i].chased)));
-        if (c) contained[i][j] = true;
-      }
-    }
-    for (uint32_t i : indexed) {
-      for (uint32_t j : indexed) {
-        if (i != j && contained[i][j]) {
-          lattice.push_back(CatalogLatticeEdge{i, j, contained[j][i]});
-        }
-      }
-    }
-    // TSL200: one finding per subsumed view, naming its (first) subsumer.
-    // α-duplicate pairs are TSL201's; for mutually-contained distinct
-    // definitions only the later catalog entry is flagged, so one of an
-    // equivalent pair always survives unflagged.
-    for (uint32_t i : indexed) {
-      for (uint32_t j : indexed) {
-        if (i == j || !contained[i][j]) continue;
-        if (entries[i].raw_fingerprint == entries[j].raw_fingerprint) continue;
-        if (contained[j][i] && i < j) continue;
-        const TslQuery& view = caps[i]->view;
-        diags.push_back(MakeDiag(
-            DiagCode::kViewSubsumed, view.span, view.name,
-            contained[j][i]
-                ? StrCat(view.name, " is equivalent to ",
-                         indexed_views[j].name,
-                         " under the catalog's constraints; it only widens "
-                         "the rewriting search")
-                : StrCat(view.name, " is subsumed by ", indexed_views[j].name,
-                         ": every answer it contributes is already produced "
-                         "there, so it only widens the rewriting search")));
-        break;
-      }
-    }
-    lattice_span.Annotate("edges", static_cast<uint64_t>(lattice.size()));
-    lattice_span.Annotate("containment_tests", static_cast<uint64_t>(tested));
   }
+  std::vector<std::set<std::string>> provided(n);
+  for (uint32_t i : indexed) {
+    TSLRW_ASSIGN_OR_RETURN(QueryFeatureSet qf,
+                           ProvidedFeatures(indexed_views[i].chased));
+    provided[i] = std::move(qf.provided);
+  }
+  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
+  for (uint32_t j : indexed) {
+    std::optional<EquivalenceTester> tester;
+    for (uint32_t i : indexed) {
+      if (i == j) continue;
+      if (raw_fingerprint[i] == raw_fingerprint[j]) {
+        contained[i][j] = true;  // α-equivalent, no test needed
+        continue;
+      }
+      if (truncated) continue;
+      if (!FeaturesSubset(indexed_views[j].required, provided[i])) {
+        continue;
+      }
+      if (tested >= kMaxContainmentPairs) {
+        truncated = true;
+        continue;
+      }
+      ++tested;
+      if (!tester.has_value()) {
+        Result<EquivalenceTester> made = EquivalenceTester::Make(
+            TslRuleSet::Single(indexed_views[j].chased), chase_options);
+        if (!made.ok()) return made.status();
+        tester.emplace(std::move(made).value());
+      }
+      TSLRW_ASSIGN_OR_RETURN(
+          bool c, tester->ContainedInReference(
+                      TslRuleSet::Single(indexed_views[i].chased)));
+      if (c) contained[i][j] = true;
+    }
+  }
+  for (uint32_t i : indexed) {
+    for (uint32_t j : indexed) {
+      if (i != j && contained[i][j]) {
+        lattice.push_back(CatalogLatticeEdge{i, j, contained[j][i]});
+      }
+    }
+  }
+  // TSL200: one finding per subsumed view, naming its (first) subsumer.
+  // α-duplicate pairs are TSL201's; for mutually-contained distinct
+  // definitions only the later catalog entry is flagged, so one of an
+  // equivalent pair always survives unflagged.
+  for (uint32_t i : indexed) {
+    for (uint32_t j : indexed) {
+      if (i == j || !contained[i][j]) continue;
+      if (raw_fingerprint[i] == raw_fingerprint[j]) continue;
+      if (contained[j][i] && i < j) continue;
+      const TslQuery& view = caps[i]->view;
+      diags.push_back(MakeDiag(
+          DiagCode::kViewSubsumed, view.span, view.name,
+          contained[j][i]
+              ? StrCat(view.name, " is equivalent to ",
+                       indexed_views[j].name,
+                       " under the catalog's constraints; it only widens "
+                       "the rewriting search")
+              : StrCat(view.name, " is subsumed by ", indexed_views[j].name,
+                       ": every answer it contributes is already produced "
+                       "there, so it only widens the rewriting search")));
+      break;
+    }
+  }
+  lattice_span.Annotate("edges", static_cast<uint64_t>(lattice.size()));
+  lattice_span.Annotate("containment_tests", static_cast<uint64_t>(tested));
+  lattice_span.EndNow();
   CountIf(options.metrics, "catalog.containment_tests", tested);
 
-  // Fold in the per-rule analyzer findings so a compile report is a
-  // superset of `tslrw_analyze` over the same rules. Dead-view detection
-  // stays off: TSL200/201 report the same pathology with exact evidence.
-  if (options.analyze_rules) {
-    ScopedSpan analyze_span(options.tracer, "catalog.analyze_rules");
-    AnalyzerOptions analyzer_options;
-    analyzer_options.constraints = constraints;
-    analyzer_options.constraint_exempt_sources =
-        chase_options.constraint_exempt_sources;
-    analyzer_options.detect_dead_views = false;
-    AnalysisReport report = Analyzer(analyzer_options).AnalyzeRules(views);
-    diags.insert(diags.end(), report.diagnostics.begin(),
-                 report.diagnostics.end());
-  }
+  // Fold in the per-rule analyzer findings (TSL0xx/1xx). The cross-rule
+  // TSL104 dead-view pass stays off, and TSL200/201 do not replace it:
+  // they test containment pair by pair, while TSL104 finds a view covered
+  // by a rewriting over all the others, possibly a join of several. Only
+  // `tslrw_analyze` and the shell's `analyze` report TSL104.
+  ScopedSpan analyze_span(options.tracer, "catalog.analyze_rules");
+  AnalyzerOptions analyzer_options;
+  analyzer_options.constraints = constraints;
+  analyzer_options.constraint_exempt_sources =
+      chase_options.constraint_exempt_sources;
+  analyzer_options.detect_dead_views = false;
+  AnalysisReport report = Analyzer(analyzer_options).AnalyzeRules(views);
+  diags.insert(diags.end(), report.diagnostics.begin(),
+               report.diagnostics.end());
+  analyze_span.EndNow();
 
-  Result<std::shared_ptr<const CompiledCatalog>> catalog =
-      CompiledCatalog::Assemble(std::move(index), std::move(entries),
-                                std::move(lattice), truncated,
-                                std::move(diags),
-                                ConstraintsFingerprint(constraints));
-  if (catalog.ok()) {
-    const CompiledCatalog& c = **catalog;
-    size_t indexed_count = 0;
-    for (const IndexedView& e : c.index().views()) {
-      if (e.state == IndexedViewState::kIndexed) ++indexed_count;
-    }
-    compile_span.Annotate("indexed", static_cast<uint64_t>(indexed_count));
-    compile_span.Annotate("lattice_edges",
-                          static_cast<uint64_t>(c.lattice().size()));
-    compile_span.Annotate("diagnostics",
-                          static_cast<uint64_t>(c.diagnostics().size()));
-    if (c.lattice_truncated()) compile_span.Annotate("truncated", "true");
-    CountIf(options.metrics, "catalog.views_compiled", c.entries().size());
-    CountIf(options.metrics, "catalog.views_indexed", indexed_count);
-    CountIf(options.metrics, "catalog.diagnostics", c.diagnostics().size());
+  CompiledCatalog catalog(std::move(index), std::move(lattice), truncated,
+                          std::move(diags));
+  size_t indexed_count = 0;
+  for (const IndexedView& e : catalog.index().views()) {
+    if (e.state == IndexedViewState::kIndexed) ++indexed_count;
   }
+  compile_span.Annotate("indexed", static_cast<uint64_t>(indexed_count));
+  compile_span.Annotate("lattice_edges",
+                        static_cast<uint64_t>(catalog.lattice().size()));
+  compile_span.Annotate("diagnostics",
+                        static_cast<uint64_t>(catalog.diagnostics().size()));
+  if (truncated) compile_span.Annotate("truncated", "true");
+  CountIf(options.metrics, "catalog.views_compiled", n);
+  CountIf(options.metrics, "catalog.views_indexed", indexed_count);
+  CountIf(options.metrics, "catalog.diagnostics",
+          catalog.diagnostics().size());
   return catalog;
 }
 

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "catalog/compiler.h"
-#include "catalog/index_file.h"
 #include "common/string_util.h"
 #include "constraints/dataguide.h"
 #include "constraints/dtd.h"
@@ -43,8 +42,7 @@ constexpr std::string_view kHelp =
     "  equivalent <q1> <q2>             compile-time equivalence test\n"
     "  analyze [rule]                   static diagnostics (all rules, or "
     "one)\n"
-    "  compile [save <p> | load <p>]    whole-catalog analysis (TSL2xx) +\n"
-    "                                   structural view index file\n"
+    "  compile                          whole-catalog analysis (TSL2xx)\n"
     "  materialize <view>               view result becomes a source\n"
     "  capability <source> (Name) <head> :- <body>\n"
     "                                   declare a source interface view\n"
@@ -411,51 +409,22 @@ std::string ReplSession::Analyze(std::string_view rest) {
 }
 
 std::string ReplSession::Compile(std::string_view rest) {
-  constexpr std::string_view kUsage =
-      "usage: compile [save <path> | load <path>]\n";
-  std::string_view word = TakeWord(&rest);
-  std::string path;
-  bool save = false;
-  bool load = false;
-  if (word == "save" || word == "load") {
-    path = std::string(TakeWord(&rest));
-    if (path.empty() || !Trim(rest).empty()) return std::string(kUsage);
-    save = word == "save";
-    load = word == "load";
-  } else if (!word.empty()) {
-    return std::string(kUsage);
-  }
-
-  std::shared_ptr<const CompiledCatalog> compiled;
-  if (load) {
-    auto loaded = LoadCatalogIndex(path);
-    if (!loaded.ok()) return RenderError(loaded.status());
-    compiled = std::move(loaded).value();
+  if (!Trim(rest).empty()) return "usage: compile\n";
+  // Capabilities are the real catalog when declared; otherwise every plain
+  // view becomes a single-capability source (DescribeViews), so `compile`
+  // is useful before any `capability` line exists.
+  std::vector<SourceDescription> sources;
+  if (!capabilities_.empty()) {
+    for (const auto& [src, sd] : capabilities_) sources.push_back(sd);
   } else {
-    // Capabilities are the real catalog when declared; otherwise every
-    // plain view becomes a single-capability source (DescribeViews), so
-    // `compile` is useful before any `capability` line exists.
-    std::vector<SourceDescription> sources;
-    if (!capabilities_.empty()) {
-      for (const auto& [src, sd] : capabilities_) sources.push_back(sd);
-    } else {
-      sources = DescribeViews(Views());
-    }
-    if (sources.empty()) {
-      return "error: no capabilities or views to compile\n";
-    }
-    CatalogCompileOptions options;
-    options.tracer = StartTrace();
-    options.metrics = &metrics_;
-    auto result = CompileCatalog(sources, constraints_ptr(), options);
-    if (!result.ok()) return RenderError(result.status());
-    compiled = std::move(result).value();
-    if (save) {
-      if (Status st = SaveCatalogIndex(*compiled, path); !st.ok()) {
-        return RenderError(st);
-      }
-    }
+    sources = DescribeViews(Views());
   }
+  if (sources.empty()) return "error: no capabilities or views to compile\n";
+  CatalogCompileOptions options;
+  options.tracer = StartTrace();
+  options.metrics = &metrics_;
+  auto compiled = CompileCatalog(sources, constraints_ptr(), options);
+  if (!compiled.ok()) return RenderError(compiled.status());
 
   std::string out;
   for (const Diagnostic& d : compiled->diagnostics()) {
@@ -465,7 +434,6 @@ std::string ReplSession::Compile(std::string_view rest) {
                                    : std::string_view());
   }
   out += StrCat(compiled->Summary(), "\n");
-  if (save) out += StrCat("wrote index ", path, "\n");
   return out;
 }
 

@@ -41,7 +41,7 @@ namespace tslrw {
 /// minimize Q3
 /// equivalent Q3 Q4
 /// analyze [Q3]                  % static diagnostics, all rules or one
-/// compile [save p | load p]     % whole-catalog analysis + view index
+/// compile                       % whole-catalog analysis (TSL2xx)
 /// materialize V1                % view result becomes a source
 /// capability db (Y97) <...> :- <...>@db   % declare a source interface
 /// fault db flaky 0.5            % script a wrapper fault for `mediate`

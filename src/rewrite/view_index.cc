@@ -1,10 +1,8 @@
 #include "rewrite/view_index.h"
 
-#include <algorithm>
 #include <map>
 #include <utility>
 
-#include "common/string_util.h"
 #include "rewrite/signature.h"
 #include "tsl/normal_form.h"
 #include "tsl/validate.h"
@@ -70,22 +68,6 @@ ViewIndex ViewIndex::Build(const std::vector<TslQuery>& views,
       if (frequency[f] < frequency[e.anchor]) e.anchor = f;
     }
   }
-  index.FileViews();
-  return index;
-}
-
-Result<ViewIndex> ViewIndex::Assemble(std::vector<IndexedView> views,
-                                      std::set<std::string> fired_constraints) {
-  for (const IndexedView& e : views) {
-    if (e.state == IndexedViewState::kIndexed && !e.anchor.empty() &&
-        !std::binary_search(e.required.begin(), e.required.end(), e.anchor)) {
-      return Status::DataLoss(StrCat("anchor of view ", e.name,
-                                     " is not one of its required features"));
-    }
-  }
-  ViewIndex index;
-  index.views_ = std::move(views);
-  index.fired_constraints_ = std::move(fired_constraints);
   index.FileViews();
   return index;
 }

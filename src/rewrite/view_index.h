@@ -49,7 +49,7 @@ struct IndexedView {
   std::string anchor;
   /// Why the build-time chase did not index the view: Unsatisfiable for
   /// kUnsatisfiable, the hard error for a kAlwaysScan view whose chase
-  /// failed, OK otherwise. Not persisted.
+  /// failed, OK otherwise.
   Status chase_status = Status::OK();
 };
 
@@ -82,12 +82,6 @@ class ViewIndex {
                          const StructuralConstraints* constraints,
                          size_t max_chase_conditions =
                              std::numeric_limits<size_t>::max());
-
-  /// Rebuilds an index from stored entries and the constraint keys that
-  /// fired while chasing them (the catalog index-file loader). DataLoss
-  /// when an anchor is not one of its view's required features.
-  static Result<ViewIndex> Assemble(std::vector<IndexedView> views,
-                                    std::set<std::string> fired_constraints);
 
   /// Cheap per-query gate: true iff \p views is the view set this index
   /// was built over (size and per-ordinal names) and every view passed
@@ -122,8 +116,7 @@ class ViewIndex {
  private:
   ViewIndex() = default;
 
-  /// Fills the name map and anchor buckets from views_. Every anchor must
-  /// be one of its view's required features.
+  /// Fills the name map and anchor buckets from views_.
   void FileViews();
 
   std::vector<IndexedView> views_;

@@ -8,8 +8,6 @@
 #include <set>
 #include <utility>
 
-#include "catalog/compiler.h"
-#include "catalog/index_file.h"
 #include "common/string_util.h"
 #include "mediator/mediator.h"
 #include "mediator/retry.h"
@@ -226,8 +224,6 @@ std::vector<ChaosPhase> StandardChaosScript(
         {"source-outage", {{pool_source, dead}}, ChaosPhase::Action::kNone});
   }
   script.push_back(
-      {"index-corruption", {}, ChaosPhase::Action::kIndexCorruption});
-  script.push_back(
       {"snapshot-swap-race", {}, ChaosPhase::Action::kCatalogSwapRace});
   script.push_back(
       {"pool-saturation", {}, ChaosPhase::Action::kPoolSaturation});
@@ -342,29 +338,6 @@ Result<ChaosDrillResult> RunChaosDrill(
     state->SetSchedules(phase.faults);
     PhaseTally tally;
     std::string action_note;
-
-    if (phase.action == ChaosPhase::Action::kIndexCorruption) {
-      // Corrupt the serialized catalog-index image in memory and prove the
-      // loader refuses it — a corrupt index must become a clean kDataLoss,
-      // never a silently wrong report.
-      Result<std::shared_ptr<const CompiledCatalog>> compiled =
-          CompileCatalog(sources, nullptr);
-      if (!compiled.ok()) return compiled.status();
-      std::string image = SerializeCatalog(**compiled);
-      image[image.size() / 2] =
-          static_cast<char>(image[image.size() / 2] ^ 0x40);
-      Result<std::shared_ptr<const CompiledCatalog>> loaded =
-          DeserializeCatalog(image);
-      if (loaded.ok() || !loaded.status().IsDataLoss()) {
-        result.sound = false;
-        violation(StrCat("phase ", phase.name,
-                         ": corrupted index image was not rejected with "
-                         "data loss (got ",
-                         loaded.ok() ? "OK" : loaded.status().ToString(),
-                         ")"));
-      }
-      action_note = "  [index] corrupt image rejected (data loss)\n";
-    }
 
     if (phase.action == ChaosPhase::Action::kPoolSaturation) {
       // Park every worker inside a fetch, fill the bounded queue, and

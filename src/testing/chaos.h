@@ -24,10 +24,6 @@ struct ChaosPhase {
   /// How the drill interferes with the serving layer during the phase.
   enum class Action : uint8_t {
     kNone,
-    /// Compile the catalog index, corrupt its serialized image, and prove
-    /// the loader rejects it (kDataLoss — never a silently wrong index)
-    /// while the server keeps serving.
-    kIndexCorruption,
     /// Publish an answer-equivalent catalog snapshot halfway through the
     /// phase's request stream: answers before and after must agree and the
     /// plan cache must survive the swap.
@@ -97,11 +93,11 @@ struct ChaosDrillResult {
 
 /// \brief The standard drill script: baseline, endpoint flap (a dead
 /// capability view), latency storm (slow replies on a view, provoking
-/// hedges and deadline pressure), flaky network, index corruption
-/// mid-drill, answer-equivalent snapshot swap race, and pool saturation.
-/// Targets and magnitudes are drawn deterministically from options.seed,
-/// preferring views of replicated sources (so failover and hedging have
-/// somewhere to go).
+/// hedges and deadline pressure), flaky network, a whole-source outage
+/// (when a source is replicated), answer-equivalent snapshot swap race,
+/// and pool saturation. Targets and magnitudes are drawn deterministically
+/// from options.seed, preferring views of replicated sources (so failover
+/// and hedging have somewhere to go).
 std::vector<ChaosPhase> StandardChaosScript(
     const std::vector<SourceDescription>& sources,
     const ChaosOptions& options);

@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "catalog/compiler.h"
-#include "catalog/index_file.h"
 #include "constraints/dtd.h"
 #include "eval/evaluator.h"
 #include "common/string_util.h"
@@ -88,9 +87,9 @@ uint64_t ExpectProbeMatchesFullScan(const TslQuery& query,
   return metrics.GetCounter("catalog.index_views_skipped")->value();
 }
 
-/// Probes three indexes over \p views against the full scan: the one a
-/// Mediator builds at Make, the compiled catalog's, and that catalog read
-/// back from its index file. Returns the Make-time index's skip count.
+/// Probes two indexes over \p views against the full scan: the one a
+/// Mediator builds at Make and the compiled catalog's. Returns the
+/// Make-time index's skip count.
 uint64_t ExpectIndexedMatchesFullScan(
     const TslQuery& query, const std::vector<TslQuery>& views,
     const StructuralConstraints* constraints) {
@@ -101,14 +100,8 @@ uint64_t ExpectIndexedMatchesFullScan(
   auto catalog = CompileCatalog(DescribeViews(views), constraints);
   EXPECT_TRUE(catalog.ok()) << catalog.status();
   if (!catalog.ok()) return skipped;
-  ExpectProbeMatchesFullScan(query, views, constraints, (*catalog)->index(),
+  ExpectProbeMatchesFullScan(query, views, constraints, catalog->index(),
                              "compiled");
-  auto loaded = DeserializeCatalog(SerializeCatalog(**catalog));
-  EXPECT_TRUE(loaded.ok()) << loaded.status();
-  if (loaded.ok()) {
-    ExpectProbeMatchesFullScan(query, views, constraints, (*loaded)->index(),
-                               "loaded");
-  }
   return skipped;
 }
 

@@ -94,9 +94,9 @@ TEST(ChaosScriptTest, StandardScriptCoversEveryRegime) {
   std::vector<std::string> names;
   for (const ChaosPhase& phase : script) names.push_back(phase.name);
   const std::vector<std::string> expected = {
-      "baseline",           "endpoint-flap",    "latency-storm",
-      "flaky-network",      "source-outage",    "index-corruption",
-      "snapshot-swap-race", "pool-saturation"};
+      "baseline",      "endpoint-flap",      "latency-storm",
+      "flaky-network", "source-outage",      "snapshot-swap-race",
+      "pool-saturation"};
   EXPECT_EQ(names, expected);
   EXPECT_TRUE(script.front().faults.empty());
   EXPECT_EQ(script.back().action, ChaosPhase::Action::kPoolSaturation);

@@ -1,7 +1,7 @@
 // Robustness fuzzing (deterministic): mutated and truncated inputs must
 // never crash or hang any parser — they either parse or return a Status.
 // This locks in the no-exceptions, no-UB error discipline of the parsing
-// layer against byte-level garbage, the catalog index loader included.
+// layer against byte-level garbage.
 
 #include <gtest/gtest.h>
 
@@ -9,12 +9,9 @@
 #include <string>
 #include <vector>
 
-#include "catalog/compiler.h"
-#include "catalog/index_file.h"
 #include "constraints/dtd.h"
 #include "fixtures.h"
 #include "oem/parser.h"
-#include "tsl/canonical.h"
 #include "tsl/parser.h"
 
 namespace tslrw {
@@ -66,47 +63,6 @@ std::string Mutate(std::string_view seed, std::mt19937_64* rng) {
   return text;
 }
 
-// --- the TSLRWIX1 catalog index loader -------------------------------------
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Wraps \p payload in a valid TSLRWIX1 header (magic, version, checksum,
-/// length), so the loader gets past its integrity checks and parses it.
-std::string SealIndexPayload(std::string_view payload) {
-  std::string out(kCatalogIndexMagic, sizeof(kCatalogIndexMagic));
-  PutU32(&out, kCatalogIndexVersion);
-  PutU64(&out, StableFingerprint(payload));
-  PutU64(&out, payload.size());
-  out.append(payload);
-  return out;
-}
-
-constexpr size_t kIndexHeaderSize = sizeof(kCatalogIndexMagic) + 4 + 8 + 8;
-
-/// A compiled two-view catalog's index file: the loader's fuzz seed.
-std::string SeedIndexFile() {
-  auto catalog = CompileCatalog(
-      DescribeViews({testing::MustParse(testing::kV1, "V1"),
-                     testing::MustParse(
-                         "<v(P') vout {<w(X') m Z'>}> :- "
-                         "<P' root {<X' l0 Z'>}>@db",
-                         "Wide")}),
-      /*constraints=*/nullptr);
-  EXPECT_TRUE(catalog.ok()) << catalog.status();
-  return catalog.ok() ? SerializeCatalog(**catalog) : std::string();
-}
-
 class ParserRobustnessTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParserRobustnessTest, MutatedTslNeverCrashes) {
@@ -150,29 +106,6 @@ TEST_P(ParserRobustnessTest, MutatedDtdNeverCrashes) {
     if (result.ok()) {
       auto round = Dtd::Parse(result->ToString());
       EXPECT_TRUE(round.ok());
-    }
-  }
-}
-
-TEST_P(ParserRobustnessTest, MutatedCatalogIndexNeverCrashes) {
-  const std::string seed = SeedIndexFile();
-  ASSERT_GT(seed.size(), kIndexHeaderSize);
-  ASSERT_TRUE(DeserializeCatalog(seed).ok());
-  std::mt19937_64 rng(GetParam() * 13 + 5);
-  for (int i = 0; i < 60; ++i) {
-    // Raw mutations: the header's length and checksum reject every one.
-    std::string file = Mutate(seed, &rng);
-    if (file != seed) {
-      auto loaded = DeserializeCatalog(file);
-      EXPECT_FALSE(loaded.ok()) << "mutation " << i << " loaded";
-    }
-    // Re-sealed payload mutations reach the payload parser (lengths, enum
-    // bytes, the chased view text). Some still load; none may crash.
-    std::string payload = Mutate(
-        std::string_view(seed).substr(kIndexHeaderSize), &rng);
-    auto resealed = DeserializeCatalog(SealIndexPayload(payload));
-    if (resealed.ok()) {
-      EXPECT_TRUE(DeserializeCatalog(SerializeCatalog(**resealed)).ok());
     }
   }
 }
@@ -249,41 +182,6 @@ TEST(ParserRobustnessTest, NestingDepthIsBoundedWithAPositionedError) {
     EXPECT_NE(status.message().find("nest deeper"), std::string::npos)
         << status;
   }
-}
-
-TEST(ParserRobustnessTest, DeepChasedViewInAnIndexFileIsRefused) {
-  // The loader re-parses each stored chase outcome through ParseTslQuery,
-  // so the parser's nesting bound covers index files too: a well-sealed
-  // file whose view text nests 20 000 deep is DataLoss, not a crash.
-  constexpr int kDepth = 20000;
-  std::string open;
-  std::string close;
-  for (int d = 1; d <= kDepth; ++d) {
-    open += "{<X" + std::to_string(d) + " a ";
-    close += ">}";
-  }
-  std::string payload;
-  PutU64(&payload, 0);  // constraints fingerprint
-  payload.push_back(0);  // lattice not truncated
-  PutU32(&payload, 1);   // one view entry
-  PutString(&payload, "Deep");
-  PutString(&payload, "db");
-  payload.push_back(0);  // IndexedViewState::kIndexed
-  PutU64(&payload, 0);   // raw fingerprint
-  PutU64(&payload, 0);   // chased fingerprint
-  PutString(&payload,
-            "<f(P) out yes> :- <P a " + open + "V" + close + ">@db");
-  PutU32(&payload, 0);  // required features
-  PutString(&payload, "");  // anchor
-  PutU32(&payload, 0);  // bound variables
-  PutU32(&payload, 0);  // fired constraint keys
-  PutU32(&payload, 0);  // lattice edges
-  PutU32(&payload, 0);  // diagnostics
-  auto loaded = DeserializeCatalog(SealIndexPayload(payload));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsDataLoss()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("nest deeper"), std::string::npos)
-      << loaded.status();
 }
 
 TEST(ParserRobustnessTest, DeepOemOidParsesQuickly) {

@@ -376,14 +376,6 @@ TEST_F(ReplTest, CompileAnalyzesTheCatalogAndAttachesToTheServer) {
   EXPECT_NE(report.find("TSL201"), std::string::npos) << report;
   EXPECT_NE(report.find("compiled 2 view(s)"), std::string::npos) << report;
 
-  // save/load round-trips the same report through the index file.
-  const std::string path = ::testing::TempDir() + "/repl_catalog.idx";
-  std::string saved = Run("compile save " + path);
-  EXPECT_NE(saved.find("wrote index " + path), std::string::npos) << saved;
-  std::string loaded = Run("compile load " + path);
-  EXPECT_NE(loaded.find("TSL201"), std::string::npos) << loaded;
-  EXPECT_NE(loaded.find("compiled 2 view(s)"), std::string::npos) << loaded;
-
   // With a server running, compile only reports: the server's mediator
   // already plans through the view index it built at Make, and serving
   // carries on untouched.
