@@ -351,14 +351,13 @@ BENCHMARK(BM_MinimizeRedundantStar)->RangeMultiplier(2)->Range(2, 16);
 // The k-arm CL-EXP-CAND star rewritten over its per-arm views fans out into
 // 2^k genuine plans once each condition may read either its view or an
 // α-equivalent replica mirror. The tree walker re-matches every condition
-// of every plan from scratch; the compiled IR hoists each condition into a
-// match unit, merges α-equivalent units across plans (CSE keys on
-// source-scoped fingerprints, so a view and its mirror stay distinct
-// units), and materializes each unit once per execution. BM_EvalIR runs
-// both executors *paired-interleaved* (same discipline as
-// BM_RewriteObserved) and exports the `speedup` ratio that
-// check_bench_regression --speedup gates at >= 1.5x for the full pass
-// stack on the k=7 workload.
+// of every plan from scratch; the compiled IR turns each condition into a
+// match unit shared by every α-equivalent condition across plans (units
+// are keyed per source, so a view and its mirror stay distinct units), and
+// materializes each unit once per execution. BM_EvalIR runs both executors
+// *paired-interleaved* (same discipline as BM_RewriteObserved) and exports
+// the `speedup` ratio that check_bench_regression --speedup gates at
+// >= 1.5x on the k=7 workload.
 
 /// Star data: \p roots `rec` roots with \p fanout children per arm — one
 /// child carries the query's `u<i>` constant, the rest junk values.
@@ -459,19 +458,13 @@ void BM_EvalTree(benchmark::State& state) {
 BENCHMARK(BM_EvalTree)->Arg(3)->Arg(5)->Arg(7);
 
 void BM_EvalIR(benchmark::State& state) {
-  // Pass ablation: arg 0 = no passes, 1 = +hoist, 2 = +CSE (the shipped
-  // default stack). k is pinned to the 2^7-plan CL-EXP-CAND workload the
-  // CI speedup gate reads. Compilation sits outside the timed region so
-  // the two executors are compared alone; the mediator compiles per
-  // execution, and that cost (the `plan.compile` span) is reported
-  // separately in EXPERIMENTS.md.
-  const int level = static_cast<int>(state.range(0));
+  // k is pinned to the 2^7-plan CL-EXP-CAND workload the CI speedup gate
+  // reads. Compilation sits outside the timed region so the two executors
+  // are compared alone; the mediator compiles per execution, and that cost
+  // is BM_IrCompile below.
   const int k = 7;
   PlanSetWorkload w = MakePlanSetWorkload(k);
-  IrPassOptions passes;
-  passes.hoist_invariant_submatches = level >= 1;
-  passes.common_subplan_elimination = level >= 2;
-  PlanCompiler compiler(passes);
+  PlanCompiler compiler;
   auto program = compiler.CompilePlans(w.plans);
   if (!program.ok()) {
     state.SkipWithError(program.status().ToString().c_str());
@@ -543,7 +536,39 @@ void BM_EvalIR(benchmark::State& state) {
   state.counters["plans"] = static_cast<double>(w.plans.size());
   state.counters["ops"] = static_cast<double>((*program)->ops.size());
 }
-BENCHMARK(BM_EvalIR)->DenseRange(0, 2);
+BENCHMARK(BM_EvalIR);
+
+void BM_IrCompile(benchmark::State& state) {
+  // Compile cost alone: PlanCompiler over the first `plans` plans of the
+  // k-arm workload. plans = 1 is the star's base rewriting, the program the
+  // mediator compiles for every execution it serves; k = 7, plans = 128 is
+  // the whole plan set BM_EvalIR executes. Ungated; EXPERIMENTS.md (CL-IR)
+  // reports it.
+  const int k = static_cast<int>(state.range(0));
+  PlanSetWorkload w = MakePlanSetWorkload(k);
+  w.plans.resize(static_cast<size_t>(state.range(1)));
+  PlanCompiler compiler;
+  size_t ops = 0;
+  for (auto _ : state) {
+    auto program = compiler.CompilePlans(w.plans);
+    if (!program.ok()) {
+      state.SkipWithError(program.status().ToString().c_str());
+      return;
+    }
+    ops = (*program)->ops.size();
+    benchmark::DoNotOptimize(program);
+  }
+  state.counters["ops"] = static_cast<double>(ops);
+}
+BENCHMARK(BM_IrCompile)
+    ->ArgNames({"k", "plans"})
+    ->Args({3, 1})
+    ->Args({4, 1})
+    ->Args({5, 1})
+    ->Args({6, 1})
+    ->Args({7, 1})
+    ->Args({7, 128})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_RewriteSinglePathSpecialCase(benchmark::State& state) {
   // The \S3.1 algorithm: one condition, one view — the fast path.

@@ -1,8 +1,9 @@
 // Compiled plan execution: lowers a capability-based rewriting plan set to
-// the flat register IR (src/ir), shows what each optimization pass did to
-// the program (before/after op counts, mirroring the `plan <Q> ir` shell
-// command), and proves the point of the exercise — the interpreter's answer
-// is byte-identical to the tree walker's on every pass configuration.
+// the flat register IR (src/ir), disassembles the program (what the
+// `plan <Q> ir` shell command prints), and proves the point of the
+// exercise — the interpreter's answer is byte-identical to the tree
+// walker's, both for the query compiled directly and end to end through
+// the mediator.
 
 #include <cstdio>
 #include <cstdlib>
@@ -50,7 +51,7 @@ int main() {
 
   // Two α-equivalent dump views (replicated mirrors) plus a venue index:
   // the rewriter produces several plans whose bodies share submatches,
-  // which is exactly what the hoist + CSE passes feed on.
+  // which the compiler turns into shared match units.
   auto view = [](const char* name, const std::string& text) {
     Capability cap;
     cap.view = Must(ParseTslQuery(text, name));
@@ -81,43 +82,18 @@ int main() {
     rewritings.push_back(plan.rewriting);
   }
 
-  // Per-pass ablation: compile the same plan set under each configuration
-  // and report what the enabled passes changed. Answers are byte-identical
-  // in every row — the sweep below checks that, not just claims it.
-  struct Config {
-    const char* name;
-    IrPassOptions passes;
-  };
-  const Config configs[] = {
-      {"none", {false, false}},
-      {"hoist", {true, false}},
-      {"hoist+cse", {true, true}},
-  };
-  for (const Config& config : configs) {
-    PlanCompiler compiler(config.passes);
-    auto program = Must(compiler.CompilePlans(rewritings));
-    std::printf("\n=== passes: %s ===\n%s", config.name,
-                PassStatsTable(*program).c_str());
-  }
-
-  // The fully optimized program, disassembled (what `plan <Q> ir` prints).
-  PlanCompiler compiler{IrPassOptions{}};
+  // The compiled program, disassembled (what `plan <Q> ir` prints).
+  PlanCompiler compiler;
   auto program = Must(compiler.CompilePlans(rewritings));
-  std::printf("\n=== disassembly (all passes) ===\n%s",
-              Disassemble(*program).c_str());
+  std::printf("\n=== disassembly ===\n%s", Disassemble(*program).c_str());
 
   // Byte-identity, two ways. First the original query, tree walker vs
-  // interpreter, under every pass configuration:
+  // interpreter:
   OemDatabase tree_answer = Must(Evaluate(query, catalog));
-  bool all_identical = true;
-  for (const Config& config : configs) {
-    PlanCompiler per_config(config.passes);
-    auto compiled = Must(per_config.Compile(query));
-    OemDatabase ir_answer = Must(ExecuteIr(*compiled, catalog));
-    all_identical = all_identical &&
-                    ir_answer.ToString() == tree_answer.ToString() &&
-                    ir_answer.name() == tree_answer.name();
-  }
+  OemDatabase ir_answer =
+      Must(ExecuteIr(*Must(compiler.Compile(query)), catalog));
+  bool all_identical = ir_answer.ToString() == tree_answer.ToString() &&
+                       ir_answer.name() == tree_answer.name();
   // Then end to end: the mediator's answer, which runs the compiled plan
   // over the fetched view results, against the query evaluated directly.
   DegradedAnswer served = Must(mediator.Answer(query, catalog));

@@ -36,7 +36,7 @@ observability tax of tracing + metrics on the sequential rewrite path.
 
 Speedup mode::
 
-    check_bench_regression.py CURRENT.json --speedup BM_EvalIR/2 \\
+    check_bench_regression.py CURRENT.json --speedup BM_EvalIR \\
         [--speedup-min 1.5]
 
 gates *paired* compiled-vs-tree benchmarks the other way around: each

@@ -57,8 +57,8 @@ CatalogDelta ComputeCatalogDelta(
   CatalogDelta delta;
   const std::map<std::string, uint64_t> old_fps =
       FingerprintByName(old_sources);
-  const std::map<std::string, uint64_t> new_fps =
-      FingerprintByName(new_sources);
+  delta.new_fingerprints = FingerprintByName(new_sources);
+  const std::map<std::string, uint64_t>& new_fps = delta.new_fingerprints;
   for (const auto& [name, fp] : old_fps) {
     auto it = new_fps.find(name);
     if (it == new_fps.end()) {

@@ -2,6 +2,7 @@
 #define TSLRW_CATALOG_DIFF_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,10 @@ struct CatalogDelta {
   /// other views are chased under, so such a delta can change the stored
   /// chase of an untouched view; the decider falls back to a full flush.
   bool exempt_hazard = false;
+  /// The new catalog's identity fingerprint for every view name (folded
+  /// like duplicates are, by XOR). The invalidation decider reads it
+  /// instead of fingerprinting every new view again.
+  std::map<std::string, uint64_t> new_fingerprints;
 
   /// True when the two catalogs are plan-equivalent: same view identities
   /// (up to α and source placement) and same constraints.

@@ -1,13 +1,13 @@
 #include "ir/compiler.h"
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
-#include "common/string_util.h"
-#include "ir/lowering.h"
-#include "ir/passes.h"
 #include "tsl/canonical.h"
 
 namespace tslrw {
@@ -21,6 +21,14 @@ IrOp Op(IrOpCode code, int32_t a = -1, int32_t b = -1, int32_t c = -1) {
   op.b = b;
   op.c = c;
   return op;
+}
+
+int32_t InternSource(IrProgram* program, const std::string& source) {
+  for (size_t i = 0; i < program->sources.size(); ++i) {
+    if (program->sources[i] == source) return static_cast<int32_t>(i);
+  }
+  program->sources.push_back(source);
+  return static_cast<int32_t>(program->sources.size()) - 1;
 }
 
 /// Lowers terms, head patterns, and condition match pipelines against one
@@ -94,7 +102,7 @@ class Lowerer {
   void LowerConditionMatch(const Condition& cond) {
     int32_t slot = (*slot_count_)++;
     p_->ops.push_back(Op(IrOpCode::kIterRoots,
-                         InternIrSource(p_, cond.source),
+                         InternSource(p_, cond.source),
                          InternPattern(cond.pattern), slot));
     LowerMatch(cond.pattern, slot);
   }
@@ -105,99 +113,99 @@ class Lowerer {
   int32_t* slot_count_;
 };
 
-void CanonWalkTerm(const Term& t, std::map<Term, std::string>* names) {
-  if (t.is_var()) {
-    if (names->find(t) == names->end()) {
-      const char* prefix = t.var_kind() == VarKind::kObjectId ? "O" : "C";
-      names->emplace(t, StrCat(prefix, names->size()));
+/// One walk over a condition in match order (oid, label, step, value,
+/// members). `order` lists the condition's variables by first occurrence;
+/// `key` spells the condition with each variable replaced by its sort and
+/// first-occurrence index, followed by the source. Atoms and functors are
+/// length-prefixed and every field is tagged, so two conditions share a key
+/// exactly when they are equal up to α-renaming.
+struct CanonicalCondition {
+  std::vector<Term> order;
+  std::string key;
+};
+
+/// Appends `<tag><n>;`.
+void AppendTagged(char tag, size_t n, std::string* key) {
+  key->push_back(tag);
+  key->append(std::to_string(n));
+  key->push_back(';');
+}
+
+void CanonWalkTerm(const Term& t, CanonicalCondition* c) {
+  switch (t.kind()) {
+    case TermKind::kAtom:
+      AppendTagged('a', t.atom_name().size(), &c->key);
+      c->key += t.atom_name();
+      return;
+    case TermKind::kVariable: {
+      auto it = std::find(c->order.begin(), c->order.end(), t);
+      if (it == c->order.end()) it = c->order.insert(it, t);
+      AppendTagged(t.var_kind() == VarKind::kObjectId ? 'O' : 'C',
+                   it - c->order.begin(), &c->key);
+      return;
     }
-    return;
-  }
-  if (t.is_func()) {
-    for (const Term& a : t.args()) CanonWalkTerm(a, names);
+    case TermKind::kFunction:
+      AppendTagged('f', t.functor().size(), &c->key);
+      c->key += t.functor();
+      c->key += '(';
+      for (const Term& a : t.args()) CanonWalkTerm(a, c);
+      c->key += ')';
+      return;
   }
 }
 
-void CanonWalkPattern(const ObjectPattern& pattern,
-                      std::map<Term, std::string>* names) {
-  CanonWalkTerm(pattern.oid, names);
-  CanonWalkTerm(pattern.label, names);
+void CanonWalkPattern(const ObjectPattern& pattern, CanonicalCondition* c) {
+  c->key += '<';
+  CanonWalkTerm(pattern.oid, c);
+  CanonWalkTerm(pattern.label, c);
+  AppendTagged('s', static_cast<size_t>(pattern.step), &c->key);
   if (pattern.value.is_term()) {
-    CanonWalkTerm(pattern.value.term(), names);
-    return;
+    c->key += '=';
+    CanonWalkTerm(pattern.value.term(), c);
+  } else {
+    c->key += '{';
+    for (const ObjectPattern& m : pattern.value.set()) {
+      CanonWalkPattern(m, c);
+    }
+    c->key += '}';
   }
-  for (const ObjectPattern& m : pattern.value.set()) {
-    CanonWalkPattern(m, names);
-  }
+  c->key += '>';
 }
 
-Term CanonRenameTerm(const Term& t,
-                     const std::map<Term, std::string>& names) {
-  if (t.is_var()) return Term::MakeVar(names.at(t), t.var_kind());
-  if (t.is_func()) {
-    std::vector<Term> args;
-    args.reserve(t.args().size());
-    for (const Term& a : t.args()) args.push_back(CanonRenameTerm(a, names));
-    return Term::MakeFunc(t.functor(), std::move(args));
-  }
-  return t;
+CanonicalCondition Canonicalize(const Condition& condition) {
+  CanonicalCondition c;
+  CanonWalkPattern(condition.pattern, &c);
+  c.key += '@';
+  c.key += condition.source;
+  return c;
 }
 
-ObjectPattern CanonRenamePattern(const ObjectPattern& pattern,
-                                 const std::map<Term, std::string>& names) {
-  ObjectPattern out;
-  out.oid = CanonRenameTerm(pattern.oid, names);
-  out.label = CanonRenameTerm(pattern.label, names);
-  out.step = pattern.step;
-  if (pattern.value.is_term()) {
-    out.value = PatternValue::FromTerm(
-        CanonRenameTerm(pattern.value.term(), names));
-    return out;
-  }
-  SetPattern members;
-  members.reserve(pattern.value.set().size());
-  for (const ObjectPattern& m : pattern.value.set()) {
-    members.push_back(CanonRenamePattern(m, names));
-  }
-  out.value = PatternValue::FromSet(std::move(members));
-  return out;
-}
-
-}  // namespace
-
-std::map<Term, std::string> CanonicalConditionNames(
-    const Condition& condition) {
-  std::map<Term, std::string> names;
-  CanonWalkPattern(condition.pattern, &names);
-  return names;
-}
-
-uint64_t ConditionFingerprint(const Condition& condition) {
-  std::map<Term, std::string> names = CanonicalConditionNames(condition);
-  ObjectPattern renamed = CanonRenamePattern(condition.pattern, names);
-  return StableFingerprint(StrCat(renamed.ToString(), "@", condition.source));
-}
-
-int32_t InternIrSource(IrProgram* program, const std::string& source) {
-  for (size_t i = 0; i < program->sources.size(); ++i) {
-    if (program->sources[i] == source) return static_cast<int32_t>(i);
-  }
-  program->sources.push_back(source);
-  return static_cast<int32_t>(program->sources.size()) - 1;
-}
-
-int32_t LowerConditionUnit(IrProgram* program, const Condition& condition) {
+/// A new unit for \p condition: a local frame over its sorted variables
+/// and the canonical index of each column. The body is lowered later, once
+/// every segment is laid out, so unit bodies follow the segments in the op
+/// vector.
+IrUnit MakeUnit(IrProgram* program, const Condition& condition,
+                const CanonicalCondition& canon) {
   IrUnit unit;
-  std::set<Term> vars;
-  condition.pattern.CollectVariables(&vars);
-  unit.vars.assign(vars.begin(), vars.end());
+  unit.vars = canon.order;
+  std::sort(unit.vars.begin(), unit.vars.end());
   unit.frame_size = static_cast<int32_t>(unit.vars.size());
-  std::map<Term, std::string> canon = CanonicalConditionNames(condition);
   unit.col_canon.reserve(unit.vars.size());
-  for (const Term& v : unit.vars) unit.col_canon.push_back(canon.at(v));
-  unit.source = InternIrSource(program, condition.source);
-  unit.fingerprint = ConditionFingerprint(condition);
+  for (const Term& v : unit.vars) {
+    unit.col_canon.push_back(static_cast<int32_t>(
+        std::find(canon.order.begin(), canon.order.end(), v) -
+        canon.order.begin()));
+  }
+  unit.source = InternSource(program, condition.source);
+  unit.fingerprint = StableFingerprint(canon.key);
+  return unit;
+}
 
+/// Appends the match pipeline of unit \p unit_idx — \p condition matched
+/// from scratch, exactly like a first body condition — to the op vector.
+void LowerUnitBody(IrProgram* program, int32_t unit_idx,
+                   const Condition& condition) {
+  IrUnit& unit = program->units[unit_idx];
   std::map<Term, int32_t> regs;
   for (size_t i = 0; i < unit.vars.size(); ++i) {
     regs.emplace(unit.vars[i], static_cast<int32_t>(i));
@@ -205,21 +213,27 @@ int32_t LowerConditionUnit(IrProgram* program, const Condition& condition) {
   unit.begin = static_cast<int32_t>(program->ops.size());
   Lowerer lowerer(program, regs, &unit.slot_count);
   lowerer.LowerConditionMatch(condition);
-  int32_t unit_idx = static_cast<int32_t>(program->units.size());
   program->ops.push_back(Op(IrOpCode::kEmitUnitRow, unit_idx));
   unit.end = static_cast<int32_t>(program->ops.size());
-  program->units.push_back(std::move(unit));
-  return unit_idx;
 }
 
-namespace {
-
+/// Lowers \p rules to their final shape in one pass. Each body condition
+/// becomes one kJoinUnit op over the unit interned by its canonical key: the
+/// first condition with a key creates the unit, later ones reuse it. A
+/// condition matched from scratch and joined on its shared variables by
+/// BoundValue equality accepts exactly the extensions an inline match
+/// would (matching is confluent), and conditions with equal keys yield the
+/// same rows, so every join reads its unit through a bindmap built from the
+/// canonical indices: unit column j binds this condition's variable with
+/// canonical index col_canon[j].
 std::shared_ptr<const IrProgram> CompileRuleList(
-    const std::vector<TslQuery>& rules, const IrPassOptions& passes,
-    MetricRegistry* metrics) {
+    const std::vector<TslQuery>& rules, MetricRegistry* metrics) {
   const auto start = std::chrono::steady_clock::now();
   auto program = std::make_shared<IrProgram>();
   if (!rules.empty()) program->default_name = rules.front().name;
+  std::unordered_map<std::string, int32_t> unit_by_key;
+  std::vector<const Condition*> unit_conditions;
+  uint64_t shared = 0;
   for (const TslQuery& q : rules) {
     IrSegment seg;
     seg.rule_name = q.name;
@@ -230,21 +244,33 @@ std::shared_ptr<const IrProgram> CompileRuleList(
     for (size_t i = 0; i < seg.vars.size(); ++i) {
       regs.emplace(seg.vars[i], static_cast<int32_t>(i));
     }
-    Lowerer lowerer(program.get(), regs, &seg.slot_count);
     const int32_t seg_idx = static_cast<int32_t>(program->segments.size());
     seg.match_begin = static_cast<int32_t>(program->ops.size());
     for (const Condition& cond : q.body) {
-      IrCondBlock block;
-      block.condition = static_cast<int32_t>(program->conditions.size());
-      program->conditions.push_back(cond);
-      block.begin = static_cast<int32_t>(program->ops.size());
-      lowerer.LowerConditionMatch(cond);
-      block.end = static_cast<int32_t>(program->ops.size());
-      seg.blocks.push_back(block);
+      CanonicalCondition canon = Canonicalize(cond);
+      auto [it, inserted] = unit_by_key.try_emplace(
+          canon.key, static_cast<int32_t>(program->units.size()));
+      if (inserted) {
+        program->units.push_back(MakeUnit(program.get(), cond, canon));
+        unit_conditions.push_back(&cond);
+      } else {
+        ++shared;
+      }
+      const IrUnit& unit = program->units[it->second];
+      std::vector<int32_t> bindmap;
+      bindmap.reserve(unit.col_canon.size());
+      for (int32_t c : unit.col_canon) {
+        bindmap.push_back(regs.at(canon.order[c]));
+      }
+      program->bindmaps.push_back(std::move(bindmap));
+      program->ops.push_back(
+          Op(IrOpCode::kJoinUnit, it->second,
+             static_cast<int32_t>(program->bindmaps.size()) - 1));
     }
     program->ops.push_back(Op(IrOpCode::kEmitRow, seg_idx));
     seg.match_end = static_cast<int32_t>(program->ops.size());
     seg.emit_begin = seg.match_end;
+    Lowerer lowerer(program.get(), regs, &seg.slot_count);
     program->ops.push_back(Op(IrOpCode::kEmitHead, lowerer.LowerHead(q.head)));
     program->ops.push_back(Op(IrOpCode::kFuseRoot));
     program->ops.push_back(
@@ -252,9 +278,12 @@ std::shared_ptr<const IrProgram> CompileRuleList(
     seg.emit_end = static_cast<int32_t>(program->ops.size());
     program->segments.push_back(std::move(seg));
   }
-  RunIrPasses(passes, program.get(), metrics);
+  for (size_t u = 0; u < unit_conditions.size(); ++u) {
+    LowerUnitBody(program.get(), static_cast<int32_t>(u), *unit_conditions[u]);
+  }
   if (metrics != nullptr) {
     CountIf(metrics, "ir.compiles");
+    CountIf(metrics, "ir.units_shared", shared);
     ObserveIf(metrics, "ir.ops", program->ops.size());
     ObserveIf(metrics, "ir.compile_wall_us",
               static_cast<uint64_t>(
@@ -267,19 +296,23 @@ std::shared_ptr<const IrProgram> CompileRuleList(
 
 }  // namespace
 
+uint64_t ConditionFingerprint(const Condition& condition) {
+  return StableFingerprint(Canonicalize(condition).key);
+}
+
 Result<std::shared_ptr<const IrProgram>> PlanCompiler::Compile(
     const TslQuery& query) const {
-  return CompileRuleList({query}, passes_, metrics_);
+  return CompileRuleList({query}, metrics_);
 }
 
 Result<std::shared_ptr<const IrProgram>> PlanCompiler::Compile(
     const TslRuleSet& rules) const {
-  return CompileRuleList(rules.rules, passes_, metrics_);
+  return CompileRuleList(rules.rules, metrics_);
 }
 
 Result<std::shared_ptr<const IrProgram>> PlanCompiler::CompilePlans(
     const std::vector<TslQuery>& plans) const {
-  return CompileRuleList(plans, passes_, metrics_);
+  return CompileRuleList(plans, metrics_);
 }
 
 }  // namespace tslrw

@@ -35,8 +35,8 @@ Result<OemDatabase> ExecuteIr(const IrProgram& program,
 
 /// \brief Executes each segment into its own answer database (named after
 /// its rule unless \p options.answer_name overrides) — byte-identical to
-/// per-plan Evaluate calls over a rewritten plan set, but with hoisted
-/// match units materialized once and shared across all segments, which is
+/// per-plan Evaluate calls over a rewritten plan set, but with match
+/// units materialized once and shared across all segments, which is
 /// where compiled execution beats the tree walker on large plan sets.
 Result<std::vector<OemDatabase>> ExecuteIrPerSegment(
     const IrProgram& program, const SourceCatalog& catalog,

@@ -1,7 +1,5 @@
 #include "ir/ir.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace tslrw {
@@ -117,29 +115,10 @@ std::string Disassemble(const IrProgram& p) {
   }
   for (size_t u = 0; u < p.units.size(); ++u) {
     const IrUnit& unit = p.units[u];
-    if (unit.begin == unit.end) continue;  // merged away by CSE
     StrAppend(&out, "unit ", u, " ", SourceText(p, unit.source),
               " fp=", unit.fingerprint, "  ");
     RenderFrame(unit.vars, &out);
     RenderOps(p, unit.begin, unit.end, &out);
-  }
-  return out;
-}
-
-std::string PassStatsTable(const IrProgram& p) {
-  std::string out =
-      "pass                        ops before  ops after  units    note\n";
-  for (const IrPassStat& st : p.pass_stats) {
-    std::string pass = st.pass;
-    pass.resize(std::max<size_t>(pass.size(), 27), ' ');
-    std::string before = StrCat(st.ops_before);
-    before.insert(0, before.size() < 10 ? 10 - before.size() : 0, ' ');
-    std::string after = StrCat(st.ops_after);
-    after.insert(0, after.size() < 9 ? 9 - after.size() : 0, ' ');
-    std::string units = StrCat(st.units_before, "->", st.units_after);
-    units.resize(std::max<size_t>(units.size(), 8), ' ');
-    StrAppend(&out, pass, " ", before, "  ", after, "  ", units, " ",
-              st.note, "\n");
   }
   return out;
 }

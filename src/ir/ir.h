@@ -13,7 +13,7 @@ namespace tslrw {
 /// \brief Opcodes of the flat register-based execution IR (docs/IR.md).
 ///
 /// A program is one shared op vector sliced into per-rule *segments* (match
-/// region + emit region) and hoisted *match units*. The match region is a
+/// region + emit region) and shared *match units*. The match region is a
 /// backtracking iterator pipeline over an explicit binding-register file:
 /// iterator ops (kIterRoots / kIterMembers / kJoinUnit) open choice points,
 /// match ops bind registers through a trail, and failure of any op resumes
@@ -102,15 +102,6 @@ struct CompiledHead {
   std::vector<int32_t> members;     ///< CompiledHead indices when is_set
 };
 
-/// \brief Pass metadata: the op range one body condition lowered to, and
-/// which condition it was. The hoisting pass turns a block into a single
-/// kJoinUnit op; the range shrinks accordingly.
-struct IrCondBlock {
-  int32_t begin = 0;
-  int32_t end = 0;
-  int32_t condition = -1;  ///< index into IrProgram::conditions
-};
-
 /// \brief One rule of the compiled rule set: a match region (ends with
 /// kEmitRow) enumerating satisfying rows, and an emit region (kEmitHead /
 /// kFuseRoot / kBranch) run once per sorted deduplicated row.
@@ -128,12 +119,12 @@ struct IrSegment {
   /// Object slots used by this segment's iterator pipeline.
   int32_t slot_count = 0;
   std::vector<Term> vars;
-  std::vector<IrCondBlock> blocks;
 };
 
-/// \brief A hoisted match unit: one body condition matched from scratch
+/// \brief A match unit: one body condition matched from scratch
 /// (independent of outer bindings), materialized once per execution and
-/// shared by every kJoinUnit referencing it.
+/// shared by every kJoinUnit referencing it — every condition of the
+/// program with the same α-invariant key.
 struct IrUnit {
   int32_t begin = 0;  ///< op range; ends with kEmitUnitRow
   int32_t end = 0;
@@ -141,26 +132,14 @@ struct IrUnit {
   int32_t slot_count = 0;
   /// Sorted variables of the condition; row column i holds vars[i].
   std::vector<Term> vars;
-  /// Canonical (first-occurrence α-renamed) name per column, aligned with
-  /// vars. Common-subplan elimination uses these to remap bindmaps when two
-  /// α-equivalent conditions merge into one unit.
-  std::vector<std::string> col_canon;
+  /// First-occurrence index of each column's variable in the condition's
+  /// canonical walk, aligned with vars. A condition that reuses the unit
+  /// maps column i to its own variable with the same index.
+  std::vector<int32_t> col_canon;
   int32_t source = -1;  ///< index into IrProgram::sources
-  /// α-invariant key of (renamed condition pattern, source): equal
-  /// fingerprints mean the same rows, so the CSE pass merges the units.
+  /// Hash of the α-invariant key the unit was interned by
+  /// (ConditionFingerprint of its first condition).
   uint64_t fingerprint = 0;
-};
-
-/// \brief What one optimization pass did to the program, for the `plan Q
-/// ir` dump and the tslrw_ir example.
-struct IrPassStat {
-  std::string pass;
-  size_t ops_before = 0;
-  size_t ops_after = 0;
-  size_t units_before = 0;
-  size_t units_after = 0;
-  /// Free-form detail ("merged 120 units", "off").
-  std::string note;
 };
 
 /// \brief A compiled plan: flat ops plus the constant pools they index.
@@ -177,13 +156,10 @@ struct IrProgram {
   /// Source-name pool; "" resolves against IrExecOptions::default_source,
   /// mirroring EvalOptions.
   std::vector<std::string> sources;
-  /// The original body conditions (pass metadata for hoisting and CSE).
-  std::vector<Condition> conditions;
   /// kJoinUnit operand b: unit column -> segment register.
   std::vector<std::vector<int32_t>> bindmaps;
   /// Name of the front rule; the answer database's default name.
   std::string default_name;
-  std::vector<IrPassStat> pass_stats;
 
   size_t op_count() const { return ops.size(); }
 };
@@ -195,9 +171,6 @@ const char* IrOpName(IrOpCode code);
 /// ops with resolved operands, register files. The `plan <Q> ir` shell
 /// command and examples/tslrw_ir print this.
 std::string Disassemble(const IrProgram& program);
-
-/// \brief Renders pass_stats as an aligned before/after table.
-std::string PassStatsTable(const IrProgram& program);
 
 }  // namespace tslrw
 

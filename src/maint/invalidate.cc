@@ -37,12 +37,12 @@ InvalidationDecider::InvalidationDecider(
   }
   for (const CatalogDeltaEntry& e : delta.changed) probe_names.insert(e.name);
 
+  new_fingerprints_ = delta.new_fingerprints;
   ChaseOptions chase_options;
   chase_options.constraints = new_constraints;
   for (const SourceDescription& source : new_sources) {
     for (const Capability& cap : source.capabilities) {
       chase_options.constraint_exempt_sources.insert(cap.view.name);
-      new_fingerprints_[cap.view.name] ^= ViewIdentityFingerprint(cap);
     }
   }
   for (const SourceDescription& source : new_sources) {

@@ -44,7 +44,8 @@ namespace tslrw {
 ///    candidate atom, byte-identical search => retain.
 class InvalidationDecider {
  public:
-  /// \param delta old-vs-new diff (catalog/diff.h).
+  /// \param delta old-vs-new diff (catalog/diff.h) computed against
+  ///        \p new_sources; its new_fingerprints are copied.
   /// \param new_sources / \param new_constraints the catalog being swapped
   ///        in; both must outlive this call only (views are copied).
   InvalidationDecider(const CatalogDelta& delta,
@@ -67,9 +68,9 @@ class InvalidationDecider {
   bool no_op_ = false;
   bool full_flush_ = false;
   std::string flush_reason_;
-  /// The new catalog's identity fingerprints by view name: a consulted
-  /// view survives only if its recorded (name, fingerprint) pair is still
-  /// present verbatim here.
+  /// The new catalog's identity fingerprints by view name (the delta's
+  /// new_fingerprints): a consulted view survives only if its recorded
+  /// (name, fingerprint) pair is still present verbatim here.
   std::map<std::string, uint64_t> new_fingerprints_;
   /// Added + removed names: one of these in a query body means the query's
   /// constraint-exempt set changed.

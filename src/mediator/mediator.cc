@@ -646,7 +646,7 @@ Result<OemDatabase> Mediator::ExecuteRules(const TslRuleSet& rules,
   std::shared_ptr<const IrProgram> program;
   {
     ScopedSpan compile_span(ctx.tracer, "plan.compile");
-    PlanCompiler compiler(IrPassOptions{}, ctx.metrics);
+    PlanCompiler compiler(ctx.metrics);
     TSLRW_ASSIGN_OR_RETURN(program, compiler.Compile(rules));
     compile_span.Annotate("ops", static_cast<uint64_t>(program->ops.size()));
   }

@@ -51,8 +51,7 @@ constexpr std::string_view kHelp =
     "  plan <query> [ir]                rewriting plan set (over the\n"
     "                                   capabilities when declared, else\n"
     "                                   the views); `ir` also dumps the\n"
-    "                                   compiled flat IR with per-pass\n"
-    "                                   before/after op counts\n"
+    "                                   compiled flat IR\n"
     "  mediate <query> [seed <n>]       fault-tolerant plan + execute,\n"
     "                                   with the execution report\n"
     "  serve start [threads <n>] [queue <n>] [cache <n>]\n"
@@ -582,10 +581,9 @@ std::string ReplSession::PlanCmd(std::string_view rest) {
   }
   if (mode != "ir") return out;
   if (rewritings.empty()) return StrCat(out, "nothing to compile\n");
-  PlanCompiler compiler(IrPassOptions{}, &metrics_);
+  PlanCompiler compiler(&metrics_);
   auto program = compiler.CompilePlans(rewritings);
   if (!program.ok()) return RenderError(program.status());
-  out += PassStatsTable(**program);
   out += Disassemble(**program);
   return out;
 }

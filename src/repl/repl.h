@@ -46,7 +46,7 @@ namespace tslrw {
 /// capability db (Y97) <...> :- <...>@db   % declare a source interface
 /// fault db flaky 0.5            % script a wrapper fault for `mediate`
 /// plan Q3 [ir]                  % rewriting plan set; `ir` dumps the
-///                               % compiled flat IR + per-pass op counts
+///                               % compiled flat IR
 /// mediate Q3 [seed 7]           % fault-tolerant plan + execute + report
 /// serve start [threads 4] [queue 128] [cache 256]
 ///                               % start the concurrent serving layer

@@ -1,12 +1,11 @@
-// Byte-identity of compiled plan execution: for every rule set and every
-// optimization-pass configuration, ExecuteIr must return exactly the answer
-// of the tree walker — same graph, same roots, same database name, and the
-// same error (code and message) on the same input. docs/IR.md states the
-// argument; this suite pins it across the paper fixtures, DTD-shaped data
-// and seeded-random rules. The mediator and the server, which always run
-// the IR, are checked against the tree walker's answer to the original
-// query over the sources (Theorem 5.5), under injected faults and at 8
-// concurrent requests.
+// Byte-identity of compiled plan execution: for every rule set, ExecuteIr
+// must return exactly the answer of the tree walker — same graph, same
+// roots, same database name, and the same error (code and message) on the
+// same input. docs/IR.md states the argument; this suite pins it across
+// the paper fixtures, DTD-shaped data and seeded-random rules. The mediator
+// and the server, which always run the IR, are checked against the tree
+// walker's answer to the original query over the sources (Theorem 5.5),
+// under injected faults and at 8 concurrent requests.
 
 #include <future>
 #include <string>
@@ -34,18 +33,6 @@ namespace {
 using testing::MustParse;
 using testing::MustParseDb;
 
-/// The three pass configurations the suite sweeps: every one must be
-/// byte-identical; only the work done may differ.
-std::vector<std::pair<std::string, IrPassOptions>> PassConfigs() {
-  IrPassOptions none;
-  none.hoist_invariant_submatches = false;
-  none.common_subplan_elimination = false;
-  IrPassOptions hoist = none;
-  hoist.hoist_invariant_submatches = true;
-  IrPassOptions all;  // defaults: hoist + CSE
-  return {{"none", none}, {"hoist", hoist}, {"all", all}};
-}
-
 /// Renders an evaluation outcome so that equal strings mean byte-identical
 /// observables: status on error, else database name + canonical text.
 std::string RenderOutcome(Result<OemDatabase> result) {
@@ -54,38 +41,31 @@ std::string RenderOutcome(Result<OemDatabase> result) {
   return db.name() + "\n" + db.ToString();
 }
 
-/// Tree-vs-IR identity for one rule under every pass configuration.
+/// Tree-vs-IR identity for one rule.
 void ExpectQueryIdentity(const TslQuery& query, const SourceCatalog& catalog,
                          const std::string& default_source = "db") {
   EvalOptions eval_opts;
   eval_opts.default_source = default_source;
   std::string tree = RenderOutcome(Evaluate(query, catalog, eval_opts));
-  for (const auto& [label, passes] : PassConfigs()) {
-    PlanCompiler compiler(passes);
-    auto program = compiler.Compile(query);
-    ASSERT_TRUE(program.ok()) << program.status();
-    IrExecOptions exec;
-    exec.default_source = default_source;
-    std::string ir = RenderOutcome(ExecuteIr(**program, catalog, exec));
-    EXPECT_EQ(tree, ir) << "passes=" << label << "\n" << query.ToString();
-  }
+  auto program = PlanCompiler().Compile(query);
+  ASSERT_TRUE(program.ok()) << program.status();
+  IrExecOptions exec;
+  exec.default_source = default_source;
+  std::string ir = RenderOutcome(ExecuteIr(**program, catalog, exec));
+  EXPECT_EQ(tree, ir) << query.ToString();
 }
 
 /// Tree-vs-IR identity for a rule set sharing one answer database.
 void ExpectRuleSetIdentity(const TslRuleSet& rules,
                            const SourceCatalog& catalog) {
   std::string tree = RenderOutcome(EvaluateRuleSet(rules, catalog));
-  for (const auto& [label, passes] : PassConfigs()) {
-    PlanCompiler compiler(passes);
-    auto program = compiler.Compile(rules);
-    ASSERT_TRUE(program.ok()) << program.status();
-    std::string ir = RenderOutcome(ExecuteIr(**program, catalog));
-    EXPECT_EQ(tree, ir) << "passes=" << label;
-  }
+  auto program = PlanCompiler().Compile(rules);
+  ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_EQ(tree, RenderOutcome(ExecuteIr(**program, catalog)));
 }
 
 /// Tree-vs-IR identity for a plan set executed plan-by-plan: one answer per
-/// plan (how the mediator runs rewritten plan sets), with hoisted units
+/// plan (how the mediator runs rewritten plan sets), with match units
 /// shared across all plans on the IR side.
 void ExpectPlanSetIdentity(const std::vector<TslQuery>& plans,
                            const SourceCatalog& catalog) {
@@ -94,19 +74,16 @@ void ExpectPlanSetIdentity(const std::vector<TslQuery>& plans,
   for (const TslQuery& plan : plans) {
     tree.push_back(RenderOutcome(Evaluate(plan, catalog)));
   }
-  for (const auto& [label, passes] : PassConfigs()) {
-    PlanCompiler compiler(passes);
-    auto program = compiler.CompilePlans(plans);
-    ASSERT_TRUE(program.ok()) << program.status();
-    auto answers = ExecuteIrPerSegment(**program, catalog);
-    ASSERT_TRUE(answers.ok()) << answers.status();
-    ASSERT_EQ(answers->size(), plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      EXPECT_EQ(tree[i],
-                (*answers)[i].name() + "\n" + (*answers)[i].ToString())
-          << "passes=" << label << " plan " << i << "\n"
-          << plans[i].ToString();
-    }
+  auto program = PlanCompiler().CompilePlans(plans);
+  ASSERT_TRUE(program.ok()) << program.status();
+  auto answers = ExecuteIrPerSegment(**program, catalog);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  ASSERT_EQ(answers->size(), plans.size());
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(tree[i],
+              (*answers)[i].name() + "\n" + (*answers)[i].ToString())
+        << "plan " << i << "\n"
+        << plans[i].ToString();
   }
 }
 
@@ -270,30 +247,37 @@ TEST(IrEquivalenceTest, SeededRandomSuite) {
   }
 }
 
-TEST(IrEquivalenceTest, CseSharesAlphaEquivalentConditions) {
-  SourceCatalog catalog = PeopleCatalog();
-  // Two plans whose conditions differ only by variable naming: the CSE
-  // pass must merge their units, and answers must not change.
-  std::vector<TslQuery> plans = {
+/// Units with a body in the op vector — the units an execution can
+/// materialize.
+size_t LiveUnits(const IrProgram& program) {
+  size_t live = 0;
+  for (const IrUnit& unit : program.units) {
+    if (unit.begin < unit.end) ++live;
+  }
+  return live;
+}
+
+/// The two plans of CseSharesAlphaEquivalentConditions: they differ only by
+/// variable naming.
+std::vector<TslQuery> AlphaEquivalentPlans() {
+  return {
       MustParse("<f(P) out Z> :- <P person {<X name Z>}>@db", "A"),
       MustParse("<f(Q) out W> :- <Q person {<Y name W>}>@db", "B"),
   };
+}
+
+TEST(IrEquivalenceTest, CseSharesAlphaEquivalentConditions) {
+  SourceCatalog catalog = PeopleCatalog();
+  // The two conditions share one unit, and answers do not change.
+  std::vector<TslQuery> plans = AlphaEquivalentPlans();
   ExpectPlanSetIdentity(plans, catalog);
 
   MetricRegistry metrics;
-  PlanCompiler compiler(IrPassOptions{}, &metrics);
+  PlanCompiler compiler(&metrics);
   auto program = compiler.CompilePlans(plans);
   ASSERT_TRUE(program.ok()) << program.status();
   EXPECT_EQ(metrics.GetCounter("ir.units_shared")->value(), 1u);
-  bool found = false;
-  for (const IrPassStat& stat : (*program)->pass_stats) {
-    if (stat.pass == "common-subplan-elim") {
-      found = true;
-      EXPECT_EQ(stat.units_before, 2u);
-      EXPECT_EQ(stat.units_after, 1u);
-    }
-  }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(LiveUnits(**program), 1u);
 
   // A shared unit is materialized exactly once per execution.
   MetricRegistry exec_metrics;
@@ -302,6 +286,80 @@ TEST(IrEquivalenceTest, CseSharesAlphaEquivalentConditions) {
   auto answers = ExecuteIrPerSegment(**program, catalog, exec);
   ASSERT_TRUE(answers.ok()) << answers.status();
   EXPECT_EQ(exec_metrics.GetCounter("ir.units_materialized")->value(), 1u);
+}
+
+/// A k = 3 star plan set over replica views: plan j reads arm i from the
+/// mirror `V<i>m` when bit i of j is set, else from `V<i>`, and odd plans
+/// rename every variable so that a unit's sorted columns come in a
+/// different order than the reusing condition's first occurrences.
+std::vector<TslQuery> ReplicaStarPlans() {
+  std::vector<TslQuery> plans;
+  for (int j = 0; j < 8; ++j) {
+    const bool odd = j % 2 == 1;
+    const std::string root = odd ? "Z" : "P";
+    std::vector<std::string> conditions;
+    for (int i = 0; i < 3; ++i) {
+      conditions.push_back(StrCat("<", root, " rec {<", odd ? "A" : "X", i,
+                                  " l", i, " u", i, ">}>@V", i,
+                                  (j >> i) & 1 ? "m" : ""));
+    }
+    plans.push_back(MustParse(StrCat("<f(", root, ") hit yes> :- ",
+                                     Join(conditions, " AND ")),
+                              StrCat("S", j)));
+  }
+  return plans;
+}
+
+/// Each arm's view and its mirror hold the same rows; p1 and p2 match every
+/// arm, p3 misses arm 1.
+SourceCatalog ReplicaStarCatalog() {
+  SourceCatalog catalog;
+  for (int i = 0; i < 3; ++i) {
+    for (const char* mirror : {"", "m"}) {
+      std::string text = StrCat("database V", i, mirror, " {\n");
+      for (int r = 1; r <= 3; ++r) {
+        const bool hit = !(i == 1 && r == 3);
+        StrAppend(&text, "<p", r, " rec {<c", r, "_", i, " l", i, " ",
+                  hit ? StrCat("u", i) : "x", ">}>\n");
+      }
+      StrAppend(&text, "}");
+      catalog.Put(MustParseDb(text));
+    }
+  }
+  return catalog;
+}
+
+TEST(IrEquivalenceTest, CompiledProgramShapesArePinned) {
+  struct Case {
+    const char* name;
+    std::vector<TslQuery> plans;
+    SourceCatalog catalog;
+    size_t ops;
+    size_t live_units;
+    uint64_t units_shared;
+    size_t roots;  ///< answer roots summed over the plans
+  };
+  const Case cases[] = {
+      {"Q1", {MustParse(testing::kQ1, "Q1")}, PeopleCatalog(), 18, 1, 0, 1},
+      {"alpha pair", AlphaEquivalentPlans(), PeopleCatalog(), 19, 1, 1, 4},
+      {"replica star", ReplicaStarPlans(), ReplicaStarCatalog(), 110, 6, 18,
+       16},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExpectPlanSetIdentity(c.plans, c.catalog);
+    MetricRegistry metrics;
+    auto program = PlanCompiler(&metrics).CompilePlans(c.plans);
+    ASSERT_TRUE(program.ok()) << program.status();
+    EXPECT_EQ((*program)->ops.size(), c.ops);
+    EXPECT_EQ(LiveUnits(**program), c.live_units);
+    EXPECT_EQ(metrics.GetCounter("ir.units_shared")->value(), c.units_shared);
+    auto answers = ExecuteIrPerSegment(**program, c.catalog);
+    ASSERT_TRUE(answers.ok()) << answers.status();
+    size_t roots = 0;
+    for (const OemDatabase& answer : *answers) roots += answer.roots().size();
+    EXPECT_EQ(roots, c.roots);
+  }
 }
 
 TEST(IrEquivalenceTest, ConditionFingerprintIsAlphaInvariant) {
@@ -319,22 +377,63 @@ TEST(IrEquivalenceTest, ConditionFingerprintIsAlphaInvariant) {
   EXPECT_NE(
       ConditionFingerprint(cond("<f(P) o y> :- <P p {<X Y Y>}>@db")),
       ConditionFingerprint(cond("<f(P) o y> :- <P p {<X Y Z>}>@db")));
+
+  // `<P p {<X label value>}>@db` with the member's step set directly.
+  auto member = [](Term label, StepKind step, PatternValue value) {
+    ObjectPattern m;
+    m.oid = Term::MakeVar("X", VarKind::kObjectId);
+    m.label = std::move(label);
+    m.step = step;
+    m.value = std::move(value);
+    Condition condition;
+    condition.source = "db";
+    condition.pattern.oid = Term::MakeVar("P", VarKind::kObjectId);
+    condition.pattern.label = Term::MakeAtom("p");
+    condition.pattern.value = PatternValue::FromSet({std::move(m)});
+    return condition;
+  };
+  const Term z = Term::MakeVar("Z", VarKind::kLabelValue);
+  // A label variable vs a label atom, even one spelled like the variable.
+  EXPECT_NE(
+      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X L Z>}>@db")),
+      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
+  EXPECT_NE(ConditionFingerprint(
+                member(Term::MakeVar("L", VarKind::kLabelValue),
+                       StepKind::kChild, PatternValue::FromTerm(z))),
+            ConditionFingerprint(member(Term::MakeAtom("L"), StepKind::kChild,
+                                        PatternValue::FromTerm(z))));
+  // A `**` or `l+` step vs a plain step with the same label.
+  EXPECT_NE(
+      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name+ Z>}>@db")),
+      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
+  EXPECT_NE(
+      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X ** Z>}>@db")),
+      ConditionFingerprint(member(Term::MakeAtom("**"), StepKind::kChild,
+                                  PatternValue::FromTerm(z))));
+  // The same text as a set value and as an atomic value.
+  EXPECT_NE(ConditionFingerprint(cond("<f(P) o y> :- <P p {}>@db")),
+            ConditionFingerprint(cond("<f(P) o y> :- <P p \"{}\">@db")));
+  EXPECT_NE(ConditionFingerprint(member(Term::MakeAtom("name"),
+                                        StepKind::kChild,
+                                        PatternValue::FromSet({}))),
+            ConditionFingerprint(member(Term::MakeAtom("name"),
+                                        StepKind::kChild,
+                                        PatternValue::FromTerm(
+                                            Term::MakeAtom("{}")))));
 }
 
-TEST(IrEquivalenceTest, DisassemblyListsOpsAndPassStats) {
+TEST(IrEquivalenceTest, DisassemblyListsOpsAndUnits) {
   PlanCompiler compiler;
   auto program =
       compiler.Compile(MustParse(testing::kQ1, "Q1"));
   ASSERT_TRUE(program.ok()) << program.status();
   std::string text = Disassemble(**program);
   for (const char* needle :
-       {"iter_roots", "match_oid", "join_unit", "emit_row", "emit_head",
-        "fuse_root"}) {
+       {"program: 18 op(s), 1 segment(s), 1 unit(s)", "iter_roots",
+        "match_oid", "join_unit", "emit_row", "emit_head", "fuse_root",
+        "unit 0 @db fp="}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
   }
-  std::string stats = PassStatsTable(**program);
-  EXPECT_NE(stats.find("hoist-invariant-submatches"), std::string::npos);
-  EXPECT_NE(stats.find("common-subplan-elim"), std::string::npos);
   // Dumps are deterministic.
   EXPECT_EQ(text, Disassemble(**program));
 }

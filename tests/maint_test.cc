@@ -1,5 +1,6 @@
 #include "maint/invalidate.h"
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +121,11 @@ TEST(CatalogDeltaTest, ClassifiesAddedRemovedAndChanged) {
   EXPECT_FALSE(delta.constraints_changed);
   EXPECT_EQ(delta.TouchedNames(),
             (std::vector<std::string>{"VA", "VB", "VC"}));
+  // The new catalog's identities ride along for the invalidation decider.
+  EXPECT_EQ(delta.new_fingerprints,
+            (std::map<std::string, uint64_t>{
+                {"VB", delta.changed[0].new_fingerprint},
+                {"VC", delta.added[0].new_fingerprint}}));
 }
 
 TEST(CatalogDeltaTest, ViewMovingBetweenSourceDescriptionsIsUnchanged) {
