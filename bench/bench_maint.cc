@@ -31,16 +31,21 @@ namespace {
 /// per-query candidate count (the exponential axis lives in
 /// bench_rewrite). Editing view \p edited republishes under a different
 /// head label — a real semantic change (the plans that use it differ),
-/// while the query that maps onto the view stays answerable.
-std::vector<SourceDescription> MakeViews(int n, int edited) {
+/// while the query that maps onto the view stays answerable. \p renamed
+/// spells every view with other variable names: the same catalog up to α.
+std::vector<SourceDescription> MakeViews(int n, int edited,
+                                         bool renamed = false) {
   std::vector<Capability> caps;
   caps.reserve(static_cast<size_t>(n));
+  const char* p = renamed ? "Q'" : "P'";
+  const char* x = renamed ? "Y'" : "X'";
+  const char* u = renamed ? "W'" : "U'";
   for (int i = 0; i < n; ++i) {
     Capability cap;
     const char* head = (i == edited) ? "oedit" : "o";
     cap.view = MustParse(
-        StrCat("<v", i, "(P') ", head, i, " {<w", i, "(X') k U'>}> :- ",
-               "<P' rec {<X' m", i, " U'>}>@db"),
+        StrCat("<v", i, "(", p, ") ", head, i, " {<w", i, "(", x, ") k ", u,
+               ">}> :- <", p, " rec {<", x, " m", i, " ", u, ">}>@db"),
         StrCat("V", i));
     caps.push_back(std::move(cap));
   }
@@ -174,7 +179,8 @@ BENCHMARK(BM_MaintSingleViewEdit)
 /// The diff itself: ComputeCatalogDelta over two N-view catalogs that
 /// differ in one view. This is the fixed per-swap cost selective
 /// maintenance adds before any per-entry decision; it must stay linear in
-/// the catalog size.
+/// the catalog size. The N-1 untouched views compare equal, so only the
+/// edited one is fingerprinted.
 void BM_CatalogDeltaCompute(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const std::vector<SourceDescription> before = MakeViews(n, -1);
@@ -189,6 +195,29 @@ void BM_CatalogDeltaCompute(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CatalogDeltaCompute)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The same one-view edit, but every view of the new catalog is re-spelled
+/// with renamed variables: no view compares equal, so the diff proves each
+/// shared name unchanged by its α-invariant fingerprint. Bounds the
+/// fingerprint path that BM_CatalogDeltaCompute's equal views skip.
+void BM_CatalogDeltaComputeRenamed(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<SourceDescription> before = MakeViews(n, -1);
+  const std::vector<SourceDescription> after =
+      MakeViews(n, 0, /*renamed=*/true);
+  for (auto _ : state) {
+    CatalogDelta delta = ComputeCatalogDelta(before, nullptr, after, nullptr);
+    benchmark::DoNotOptimize(delta);
+    if (delta.changed.size() != 1) {
+      state.SkipWithError("diff misclassified the single-view edit");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_CatalogDeltaComputeRenamed)
     ->Arg(100)
     ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);

@@ -1,8 +1,6 @@
 #ifndef TSLRW_MAINT_FOOTPRINT_H_
 #define TSLRW_MAINT_FOOTPRINT_H_
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 
@@ -29,13 +27,10 @@ struct PlanFootprint {
   /// into the chased query (RewriteResult::views_touched) — a superset of
   /// the views the winning plans use. Removing or editing a view outside
   /// this set cannot change the candidate-atom list, hence not the plans.
+  /// Names only: the plan cache's generation fence guarantees the entry was
+  /// planned against the catalog a delta starts from, so "none of these
+  /// names is in the delta" proves every consulted view is unchanged.
   std::set<std::string> view_names;
-
-  /// Identity fingerprint (mediator/capability.h ViewIdentityFingerprint)
-  /// of *every* capability in the catalog the plans were computed against,
-  /// keyed by view name. Lets the decider distinguish "view v changed"
-  /// from "a different view named v existed" without keeping the views.
-  std::map<std::string, uint64_t> view_fingerprints;
 
   /// Source names referenced by the *input* query's body conditions. A
   /// delta that adds or removes a view with one of these names changes the

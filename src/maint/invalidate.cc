@@ -27,17 +27,13 @@ InvalidationDecider::InvalidationDecider(
     return;
   }
 
-  std::set<std::string> probe_names;
-  for (const CatalogDeltaEntry& e : delta.added) {
-    probe_names.insert(e.name);
-    exempt_delta_names_.insert(e.name);
-  }
-  for (const CatalogDeltaEntry& e : delta.removed) {
-    exempt_delta_names_.insert(e.name);
-  }
-  for (const CatalogDeltaEntry& e : delta.changed) probe_names.insert(e.name);
+  std::set<std::string> probe_names(delta.added.begin(), delta.added.end());
+  probe_names.insert(delta.changed.begin(), delta.changed.end());
+  exempt_delta_names_.insert(delta.added.begin(), delta.added.end());
+  exempt_delta_names_.insert(delta.removed.begin(), delta.removed.end());
+  delta_names_ = exempt_delta_names_;
+  delta_names_.insert(delta.changed.begin(), delta.changed.end());
 
-  new_fingerprints_ = delta.new_fingerprints;
   ChaseOptions chase_options;
   chase_options.constraints = new_constraints;
   for (const SourceDescription& source : new_sources) {
@@ -75,13 +71,7 @@ bool InvalidationDecider::ShouldInvalidate(
   if (full_flush_) return true;
   if (!footprint.captured) return true;
   for (const std::string& name : footprint.view_names) {
-    auto recorded = footprint.view_fingerprints.find(name);
-    if (recorded == footprint.view_fingerprints.end()) return true;
-    auto current = new_fingerprints_.find(name);
-    if (current == new_fingerprints_.end() ||
-        current->second != recorded->second) {
-      return true;
-    }
+    if (delta_names_.count(name) > 0) return true;
   }
   for (const std::string& source : footprint.query_sources) {
     if (exempt_delta_names_.count(source) > 0) return true;

@@ -1,8 +1,6 @@
 #ifndef TSLRW_MAINT_INVALIDATE_H_
 #define TSLRW_MAINT_INVALIDATE_H_
 
-#include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,14 +24,20 @@ namespace tslrw {
 /// correctness — and is measured, not promised (tests/maint_property_test
 /// reports the ratio).
 ///
+/// Precondition: every footprint handed to ShouldInvalidate belongs to a
+/// plan set that is exact for the delta's *old* catalog — planned against
+/// it, or retained across earlier deltas by this same argument. The plan
+/// cache's generation fence guarantees it: a search admitted under an older
+/// catalog never inserts (service/plan_cache.h). Under that precondition a
+/// consulted view whose name is not in the delta is the very view the
+/// search consulted, so names suffice and no view is fingerprinted here.
+///
 /// The argument, case by case (docs/SERVING.md "Incremental maintenance"):
 ///  - constraints delta or exempt hazard: every chase in the pipeline may
 ///    differ => full flush.
 ///  - uncaptured footprint: no evidence => invalidate.
-///  - a consulted view (`view_names`) whose recorded identity fingerprint
-///    is not present verbatim in the new catalog (removed, changed, or the
-///    entry predates the diffed snapshot): its candidate atoms may differ
-///    => invalidate.
+///  - a consulted view (`view_names`) that the delta names as removed or
+///    changed: its candidate atoms may differ => invalidate.
 ///  - an added/removed view name the *query body* references: the query is
 ///    chased under a different constraint-exempt set => invalidate.
 ///  - unsatisfiable query: the empty plan set survives any view delta.
@@ -45,7 +49,7 @@ namespace tslrw {
 class InvalidationDecider {
  public:
   /// \param delta old-vs-new diff (catalog/diff.h) computed against
-  ///        \p new_sources; its new_fingerprints are copied.
+  ///        \p new_sources; its view names are copied.
   /// \param new_sources / \param new_constraints the catalog being swapped
   ///        in; both must outlive this call only (views are copied).
   InvalidationDecider(const CatalogDelta& delta,
@@ -68,10 +72,9 @@ class InvalidationDecider {
   bool no_op_ = false;
   bool full_flush_ = false;
   std::string flush_reason_;
-  /// The new catalog's identity fingerprints by view name (the delta's
-  /// new_fingerprints): a consulted view survives only if its recorded
-  /// (name, fingerprint) pair is still present verbatim here.
-  std::map<std::string, uint64_t> new_fingerprints_;
+  /// Added + removed + changed names: a consulted view among them
+  /// invalidates the entry.
+  std::set<std::string> delta_names_;
   /// Added + removed names: one of these in a query body means the query's
   /// constraint-exempt set changed.
   std::set<std::string> exempt_delta_names_;

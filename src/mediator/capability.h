@@ -1,7 +1,6 @@
 #ifndef TSLRW_MEDIATOR_CAPABILITY_H_
 #define TSLRW_MEDIATOR_CAPABILITY_H_
 
-#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -41,18 +40,6 @@ struct SourceDescription {
 /// \brief Validates a set of source descriptions: views must be named,
 /// unique, and range over their own source only.
 Status ValidateDescriptions(const std::vector<SourceDescription>& sources);
-
-/// \brief An α-invariant identity fingerprint for one capability: covers the
-/// view's name, its canonical body/head rendering (tsl/canonical), and the
-/// bound-variable set translated into the canonical variable alphabet.
-/// Renaming the view's variables consistently leaves the fingerprint
-/// unchanged; editing its name, its rule (beyond α), or which variables the
-/// client must bind changes it. The owning source's name is deliberately
-/// excluded: a capability's contribution to a plan search depends only on
-/// its rule (conditions are keyed by view name), so catalog diffing over
-/// these fingerprints invalidates nothing when a view merely moves between
-/// source descriptions.
-uint64_t ViewIdentityFingerprint(const Capability& capability);
 
 }  // namespace tslrw
 

@@ -256,8 +256,7 @@ Result<MediatorPlanSet> Mediator::PlanOverViews(
   set.search.batches_dispatched = rewrites.batches_dispatched;
   set.search.verify_wall_ticks = rewrites.verify_wall_ticks;
   // Dependency footprint for the maintenance layer (maint/footprint.h):
-  // which views the search consulted, under which identity fingerprints,
-  // and what the query itself referenced.
+  // which views the search consulted and what the query itself referenced.
   set.footprint.captured = true;
   set.footprint.view_names = std::move(rewrites.views_touched);
   set.footprint.fired_constraints = std::move(rewrites.fired_constraints);
@@ -265,12 +264,6 @@ Result<MediatorPlanSet> Mediator::PlanOverViews(
   set.footprint.query_unsatisfiable = rewrites.query_unsatisfiable;
   for (const Condition& c : query.body) {
     set.footprint.query_sources.insert(c.source);
-  }
-  for (const std::string& name : set.footprint.view_names) {
-    const Capability* cap = FindCapability(name);
-    if (cap != nullptr) {
-      set.footprint.view_fingerprints[name] = ViewIdentityFingerprint(*cap);
-    }
   }
   for (TslQuery& rw : rewrites.rewritings) {
     MediatorPlan plan;

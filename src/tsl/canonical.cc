@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
-
-#include "common/string_util.h"
 
 namespace tslrw {
 
@@ -57,8 +56,8 @@ TslQuery RenameFirstOccurrence(const TslQuery& query,
   size_t next_cval = 0;
   for (const Term& v : order) {
     const bool is_oid = v.var_kind() == VarKind::kObjectId;
-    std::string name = is_oid ? StrCat("O", next_oid++)
-                              : StrCat("C", next_cval++);
+    std::string name(1, is_oid ? 'O' : 'C');
+    name += std::to_string(is_oid ? next_oid++ : next_cval++);
     renaming.Bind(v, Term::MakeVar(std::move(name), v.var_kind()));
   }
   TslQuery renamed = ApplyTermSubstitution(renaming, query);

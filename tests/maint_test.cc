@@ -1,7 +1,7 @@
 #include "maint/invalidate.h"
 
-#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -11,7 +11,6 @@
 #include "constraints/dtd.h"
 #include "fixtures.h"
 #include "maint/footprint.h"
-#include "mediator/capability.h"
 #include "service/canonical.h"
 #include "service/plan_cache.h"
 #include "service/server.h"
@@ -50,16 +49,14 @@ StructuralConstraints RecDtd() {
   return StructuralConstraints(std::move(dtd).ValueOrDie());
 }
 
-/// A captured footprint for a plan set computed against {VA, VB} whose
-/// search consulted only \p consulted and whose chased query carries one
-/// \p body_label condition.
+/// A captured footprint for a plan set computed against the delta's old
+/// catalog whose search consulted only \p consulted and whose chased query
+/// carries one \p body_label condition.
 PlanFootprint FootprintOver(const std::set<std::string>& consulted,
                             std::string_view body_label) {
   PlanFootprint footprint;
   footprint.captured = true;
   footprint.view_names = consulted;
-  footprint.view_fingerprints = {{"VA", ViewIdentityFingerprint(ViewA())},
-                                 {"VB", ViewIdentityFingerprint(ViewB())}};
   footprint.query_sources = {"db"};
   footprint.chased_query = MustParse(
       std::string("<f(P) out yes> :- <P rec {<X ") + std::string(body_label) +
@@ -68,30 +65,72 @@ PlanFootprint FootprintOver(const std::set<std::string>& consulted,
   return footprint;
 }
 
-// --- view identity fingerprints ---------------------------------------------
+// --- catalog deltas ---------------------------------------------------------
 
-TEST(ViewIdentityFingerprintTest, AlphaRenamingIsInvariant) {
-  Capability renamed = Cap(
-      "<v(Q') o {<w(Y') m W'>}> :- <Q' rec {<Y' l0 W'>}>@db", "VA");
-  EXPECT_EQ(ViewIdentityFingerprint(ViewA()),
-            ViewIdentityFingerprint(renamed));
+/// ViewA re-spelled with consistently renamed variables.
+Capability ViewARenamed() {
+  return Cap("<v(Q') o {<w(Y') m W'>}> :- <Q' rec {<Y' l0 W'>}>@db", "VA");
 }
 
-TEST(ViewIdentityFingerprintTest, NameBodyAndBindingsAllDistinguish) {
-  const uint64_t base = ViewIdentityFingerprint(ViewA());
-  // Same rule, different capability name.
+TEST(CatalogDeltaTest, AlphaRenamedViewDiffsEmpty) {
+  CatalogDelta delta = ComputeCatalogDelta(Sources({ViewA(), ViewB()}),
+                                           nullptr,
+                                           Sources({ViewARenamed(), ViewB()}),
+                                           nullptr);
+  EXPECT_TRUE(delta.empty()) << delta.ToString();
+  // The bound set is compared in the canonical alphabet, so a binding
+  // re-spelled along with its variable is still the same view.
+  Capability bound = ViewA();
+  bound.bound_variables = {"U'"};
+  Capability bound_renamed = ViewARenamed();
+  bound_renamed.bound_variables = {"W'"};
+  EXPECT_TRUE(ComputeCatalogDelta(Sources({bound}), nullptr,
+                                  Sources({bound_renamed}), nullptr)
+                  .empty());
+}
+
+TEST(CatalogDeltaTest, NameBodyAndBindingsAllDistinguish) {
+  // Same rule, different capability name: one view leaves, another comes.
   Capability other_name =
       Cap("<v(P') o {<w(X') m U'>}> :- <P' rec {<X' l0 U'>}>@db", "VZ");
-  EXPECT_NE(base, ViewIdentityFingerprint(other_name));
+  CatalogDelta renamed = ComputeCatalogDelta(Sources({ViewA()}), nullptr,
+                                             Sources({other_name}), nullptr);
+  EXPECT_EQ(renamed.added, std::vector<std::string>{"VZ"});
+  EXPECT_EQ(renamed.removed, std::vector<std::string>{"VA"});
+  EXPECT_TRUE(renamed.changed.empty());
   // Same name, different body label.
-  EXPECT_NE(base, ViewIdentityFingerprint(ViewB()));
+  Capability other_body = ViewB();
+  other_body.view.name = "VA";
+  CatalogDelta body = ComputeCatalogDelta(Sources({ViewA()}), nullptr,
+                                          Sources({other_body}), nullptr);
+  EXPECT_EQ(body.changed, std::vector<std::string>{"VA"}) << body.ToString();
   // Same rule, one variable now requires a binding.
   Capability bound = ViewA();
   bound.bound_variables = {"U'"};
-  EXPECT_NE(base, ViewIdentityFingerprint(bound));
+  CatalogDelta bindings = ComputeCatalogDelta(Sources({ViewA()}), nullptr,
+                                              Sources({bound}), nullptr);
+  EXPECT_EQ(bindings.changed, std::vector<std::string>{"VA"})
+      << bindings.ToString();
 }
 
-// --- catalog deltas ---------------------------------------------------------
+TEST(CatalogDeltaTest, DuplicateNamesAreFoldedByName) {
+  // Both copies of VA fold into one identity, so the duplicate shows up as
+  // a change of VA, not as an added or removed view.
+  CatalogDelta duplicated =
+      ComputeCatalogDelta(Sources({ViewA(), ViewB()}), nullptr,
+                          Sources({ViewA(), ViewA(), ViewB()}), nullptr);
+  EXPECT_TRUE(duplicated.added.empty());
+  EXPECT_TRUE(duplicated.removed.empty());
+  EXPECT_EQ(duplicated.changed, std::vector<std::string>{"VA"});
+  // Two same-named views that differ only in catalog order and spelling
+  // fold to the same identity.
+  Capability other_va = ViewB();
+  other_va.view.name = "VA";
+  EXPECT_TRUE(ComputeCatalogDelta(Sources({ViewA(), other_va}), nullptr,
+                                  Sources({other_va, ViewARenamed()}),
+                                  nullptr)
+                  .empty());
+}
 
 TEST(CatalogDeltaTest, IdenticalCatalogsDiffEmpty) {
   CatalogDelta delta = ComputeCatalogDelta(
@@ -108,24 +147,11 @@ TEST(CatalogDeltaTest, ClassifiesAddedRemovedAndChanged) {
                                        "<P' rec {<X' l3 U'>}>@db",
                                        "VC")}),
                           nullptr);
-  ASSERT_EQ(delta.added.size(), 1u);
-  EXPECT_EQ(delta.added[0].name, "VC");
-  EXPECT_EQ(delta.added[0].old_fingerprint, 0u);
-  ASSERT_EQ(delta.removed.size(), 1u);
-  EXPECT_EQ(delta.removed[0].name, "VA");
-  EXPECT_EQ(delta.removed[0].new_fingerprint, 0u);
-  ASSERT_EQ(delta.changed.size(), 1u);
-  EXPECT_EQ(delta.changed[0].name, "VB");
-  EXPECT_NE(delta.changed[0].old_fingerprint,
-            delta.changed[0].new_fingerprint);
+  EXPECT_EQ(delta.added, std::vector<std::string>{"VC"});
+  EXPECT_EQ(delta.removed, std::vector<std::string>{"VA"});
+  EXPECT_EQ(delta.changed, std::vector<std::string>{"VB"});
   EXPECT_FALSE(delta.constraints_changed);
-  EXPECT_EQ(delta.TouchedNames(),
-            (std::vector<std::string>{"VA", "VB", "VC"}));
-  // The new catalog's identities ride along for the invalidation decider.
-  EXPECT_EQ(delta.new_fingerprints,
-            (std::map<std::string, uint64_t>{
-                {"VB", delta.changed[0].new_fingerprint},
-                {"VC", delta.added[0].new_fingerprint}}));
+  EXPECT_EQ(delta.ToString(), "+1 -1 ~1 views, constraints unchanged");
 }
 
 TEST(CatalogDeltaTest, ViewMovingBetweenSourceDescriptionsIsUnchanged) {
@@ -250,8 +276,7 @@ TEST(InvalidationDeciderTest, ConsultedViewWhoseIdentityChangedInvalidates) {
       Sources({ViewA(), ViewBEdited()}), nullptr);
   InvalidationDecider decider(delta, Sources({ViewA(), ViewBEdited()}),
                               nullptr);
-  // The search consulted VB; its recorded fingerprint is no longer in the
-  // new catalog.
+  // The search consulted VB, which the delta names as changed.
   EXPECT_TRUE(decider.ShouldInvalidate(FootprintOver({"VA", "VB"}, "l1")));
 }
 

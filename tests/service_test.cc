@@ -638,6 +638,74 @@ TEST(QueryServerTest, SelectiveSwapInvalidatesOnlyAffectedEntries) {
   EXPECT_EQ(stats.maintenance.entries_invalidated, 1u) << stats.ToString();
 }
 
+TEST(QueryServerTest, EditChainRetainsOnlyWhatAFreshSearchReproduces) {
+  // Entry E (Sigmod97Query) consults Y97 only. Three swaps in a row: an
+  // edit of the unconsulted Dump2, whose s2 body cannot map into E's s1
+  // query; Y97 republished with renamed variables; and a real edit of
+  // Y97's body. After each swap E is served from the cache exactly when
+  // the swap cannot change it, and the served answer and plans match a
+  // fresh search over the swapped-in catalog.
+  auto capability = [](std::string_view text, std::string name) {
+    Capability cap;
+    cap.view = MustParse(text, std::move(name));
+    return cap;
+  };
+  const Capability y97 = capability(
+      "<y97(P') pub {<X' Y' Z'>}> :- "
+      "<P' publication {<U' year \"1997\">}>@s1 AND "
+      "<P' publication {<X' Y' Z'>}>@s1",
+      "Y97");
+  const Capability y97_renamed = capability(
+      "<y97(Q') pub {<A' B' C'>}> :- "
+      "<Q' publication {<W' year \"1997\">}>@s1 AND "
+      "<Q' publication {<A' B' C'>}>@s1",
+      "Y97");
+  const Capability y97_all = capability(
+      "<y97(P') pub {<X' Y' Z'>}> :- <P' publication {<X' Y' Z'>}>@s1",
+      "Y97");
+  const Capability dump_1997 = capability(
+      "<dump(P') pub {<X' Y' Z'>}> :- "
+      "<P' publication {<X' Y' Z'>}>@s2 AND "
+      "<P' publication {<U' year \"1997\">}>@s2",
+      "Dump2");
+  auto make = [](const Capability& over_s1, const Capability& over_s2) {
+    auto mediator = Mediator::Make({SourceDescription{"s1", {over_s1}},
+                                    SourceDescription{"s2", {over_s2}}});
+    EXPECT_TRUE(mediator.ok()) << mediator.status();
+    return std::move(mediator).ValueOrDie();
+  };
+  auto render = [](const ServeResponse& response) {
+    std::string out = response.answer.result.ToString();
+    for (const MediatorPlan& plan : response.plans->plans) {
+      out += "\n" + plan.ToString();
+    }
+    return out;
+  };
+
+  QueryServer server(MakeBiblioMediator(), BiblioCatalog());
+  ASSERT_TRUE(server.Answer(Sigmod97Query()).ok());
+  struct Edit {
+    Capability over_s1;
+    bool retained;
+  };
+  const Edit edits[] = {{y97, true}, {y97_renamed, true}, {y97_all, false}};
+  for (const Edit& edit : edits) {
+    MaintenanceReport report =
+        server.ReplaceMediator(make(edit.over_s1, dump_1997));
+    EXPECT_FALSE(report.full_flush) << report.ToString();
+    EXPECT_EQ(report.entries_retained, edit.retained ? 1u : 0u)
+        << report.ToString();
+    auto served = server.Answer(Sigmod97Query());
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(served->plan_cache_hit, edit.retained) << report.ToString();
+
+    QueryServer fresh(make(edit.over_s1, dump_1997), BiblioCatalog());
+    auto expected = fresh.Answer(Sigmod97Query());
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    EXPECT_EQ(render(*served), render(*expected)) << report.ToString();
+  }
+}
+
 TEST(QueryServerTest, InvalidatePlansKeepsCacheCountersMonotonic) {
   // Regression: InvalidatePlans used to rebuild the cache object, zeroing
   // the per-shard hit/miss/coalesced counters and making Statsz rates run
