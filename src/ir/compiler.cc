@@ -113,88 +113,21 @@ class Lowerer {
   int32_t* slot_count_;
 };
 
-/// One walk over a condition in match order (oid, label, step, value,
-/// members). `order` lists the condition's variables by first occurrence;
-/// `key` spells the condition with each variable replaced by its sort and
-/// first-occurrence index, followed by the source. Atoms and functors are
-/// length-prefixed and every field is tagged, so two conditions share a key
-/// exactly when they are equal up to α-renaming.
-struct CanonicalCondition {
-  std::vector<Term> order;
-  std::string key;
-};
-
-/// Appends `<tag><n>;`.
-void AppendTagged(char tag, size_t n, std::string* key) {
-  key->push_back(tag);
-  key->append(std::to_string(n));
-  key->push_back(';');
-}
-
-void CanonWalkTerm(const Term& t, CanonicalCondition* c) {
-  switch (t.kind()) {
-    case TermKind::kAtom:
-      AppendTagged('a', t.atom_name().size(), &c->key);
-      c->key += t.atom_name();
-      return;
-    case TermKind::kVariable: {
-      auto it = std::find(c->order.begin(), c->order.end(), t);
-      if (it == c->order.end()) it = c->order.insert(it, t);
-      AppendTagged(t.var_kind() == VarKind::kObjectId ? 'O' : 'C',
-                   it - c->order.begin(), &c->key);
-      return;
-    }
-    case TermKind::kFunction:
-      AppendTagged('f', t.functor().size(), &c->key);
-      c->key += t.functor();
-      c->key += '(';
-      for (const Term& a : t.args()) CanonWalkTerm(a, c);
-      c->key += ')';
-      return;
-  }
-}
-
-void CanonWalkPattern(const ObjectPattern& pattern, CanonicalCondition* c) {
-  c->key += '<';
-  CanonWalkTerm(pattern.oid, c);
-  CanonWalkTerm(pattern.label, c);
-  AppendTagged('s', static_cast<size_t>(pattern.step), &c->key);
-  if (pattern.value.is_term()) {
-    c->key += '=';
-    CanonWalkTerm(pattern.value.term(), c);
-  } else {
-    c->key += '{';
-    for (const ObjectPattern& m : pattern.value.set()) {
-      CanonWalkPattern(m, c);
-    }
-    c->key += '}';
-  }
-  c->key += '>';
-}
-
-CanonicalCondition Canonicalize(const Condition& condition) {
-  CanonicalCondition c;
-  CanonWalkPattern(condition.pattern, &c);
-  c.key += '@';
-  c.key += condition.source;
-  return c;
-}
-
 /// A new unit for \p condition: a local frame over its sorted variables
-/// and the canonical index of each column. The body is lowered later, once
-/// every segment is laid out, so unit bodies follow the segments in the op
-/// vector.
+/// and the first-occurrence index of each column in the condition's α-key.
+/// The body is lowered later, once every segment is laid out, so unit
+/// bodies follow the segments in the op vector.
 IrUnit MakeUnit(IrProgram* program, const Condition& condition,
-                const CanonicalCondition& canon) {
+                const AlphaKey& canon) {
   IrUnit unit;
-  unit.vars = canon.order;
+  unit.vars = canon.vars;
   std::sort(unit.vars.begin(), unit.vars.end());
   unit.frame_size = static_cast<int32_t>(unit.vars.size());
   unit.col_canon.reserve(unit.vars.size());
   for (const Term& v : unit.vars) {
     unit.col_canon.push_back(static_cast<int32_t>(
-        std::find(canon.order.begin(), canon.order.end(), v) -
-        canon.order.begin()));
+        std::find(canon.vars.begin(), canon.vars.end(), v) -
+        canon.vars.begin()));
   }
   unit.source = InternSource(program, condition.source);
   unit.fingerprint = StableFingerprint(canon.key);
@@ -218,7 +151,7 @@ void LowerUnitBody(IrProgram* program, int32_t unit_idx,
 }
 
 /// Lowers \p rules to their final shape in one pass. Each body condition
-/// becomes one kJoinUnit op over the unit interned by its canonical key: the
+/// becomes one kJoinUnit op over the unit interned by its α-key: the
 /// first condition with a key creates the unit, later ones reuse it. A
 /// condition matched from scratch and joined on its shared variables by
 /// BoundValue equality accepts exactly the extensions an inline match
@@ -247,7 +180,7 @@ std::shared_ptr<const IrProgram> CompileRuleList(
     const int32_t seg_idx = static_cast<int32_t>(program->segments.size());
     seg.match_begin = static_cast<int32_t>(program->ops.size());
     for (const Condition& cond : q.body) {
-      CanonicalCondition canon = Canonicalize(cond);
+      AlphaKey canon = AlphaKeyOf(cond);
       auto [it, inserted] = unit_by_key.try_emplace(
           canon.key, static_cast<int32_t>(program->units.size()));
       if (inserted) {
@@ -260,7 +193,7 @@ std::shared_ptr<const IrProgram> CompileRuleList(
       std::vector<int32_t> bindmap;
       bindmap.reserve(unit.col_canon.size());
       for (int32_t c : unit.col_canon) {
-        bindmap.push_back(regs.at(canon.order[c]));
+        bindmap.push_back(regs.at(canon.vars[c]));
       }
       program->bindmaps.push_back(std::move(bindmap));
       program->ops.push_back(
@@ -295,10 +228,6 @@ std::shared_ptr<const IrProgram> CompileRuleList(
 }
 
 }  // namespace
-
-uint64_t ConditionFingerprint(const Condition& condition) {
-  return StableFingerprint(Canonicalize(condition).key);
-}
 
 Result<std::shared_ptr<const IrProgram>> PlanCompiler::Compile(
     const TslQuery& query) const {

@@ -44,12 +44,6 @@ class PlanCompiler {
   MetricRegistry* metrics_ = nullptr;
 };
 
-/// \brief Hash of the α-invariant key the compiler shares units by: the
-/// condition's pattern with every variable replaced by its sort and
-/// first-occurrence index, together with the source name. Equal keys =>
-/// identical candidate iteration => identical rows. Exposed for tests.
-uint64_t ConditionFingerprint(const Condition& condition);
-
 }  // namespace tslrw
 
 #endif  // TSLRW_IR_COMPILER_H_

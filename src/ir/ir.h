@@ -137,8 +137,8 @@ struct IrUnit {
   /// maps column i to its own variable with the same index.
   std::vector<int32_t> col_canon;
   int32_t source = -1;  ///< index into IrProgram::sources
-  /// Hash of the α-invariant key the unit was interned by
-  /// (ConditionFingerprint of its first condition).
+  /// StableFingerprint of the α-key (tsl/canonical.h) the unit was
+  /// interned by, that of its first condition.
   uint64_t fingerprint = 0;
 };
 

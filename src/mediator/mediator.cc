@@ -25,35 +25,52 @@ namespace {
 /// over the same source, and expose the same bound-variable set. Hedging to
 /// a partner can therefore never change the answer bytes, only which
 /// endpoint produced them.
+///
+/// Views are first grouped by the head's α-key and the sorted condition
+/// α-keys (tsl/canonical.h). Each is α-invariant on its own, so α-equivalent
+/// views always share a group, and only groups of two or more pay for
+/// CanonicalizeQuery.
 std::map<std::string, std::vector<std::string>> ComputeHedgePartners(
     const std::vector<SourceDescription>& sources) {
   struct GroupKey {
     std::string source;
-    std::string canonical;
     std::set<std::string> bound;
+    std::string head;
+    std::vector<std::string> conditions;  // sorted α-keys
     bool operator<(const GroupKey& other) const {
-      return std::tie(source, canonical, bound) <
-             std::tie(other.source, other.canonical, other.bound);
+      return std::tie(source, bound, head, conditions) <
+             std::tie(other.source, other.bound, other.head, other.conditions);
     }
   };
-  std::map<GroupKey, std::vector<std::string>> groups;
+  std::map<GroupKey, std::vector<const TslQuery*>> groups;
   for (const SourceDescription& sd : sources) {
     for (const Capability& cap : sd.capabilities) {
-      GroupKey key{sd.source, CanonicalizeQuery(cap.view).key,
-                   cap.bound_variables};
-      groups[key].push_back(cap.view.name);
+      GroupKey key{sd.source, cap.bound_variables,
+                   AlphaKeyOf(cap.view.head).key, {}};
+      for (const Condition& c : cap.view.body) {
+        key.conditions.push_back(AlphaKeyOf(c).key);
+      }
+      std::sort(key.conditions.begin(), key.conditions.end());
+      groups[std::move(key)].push_back(&cap.view);
     }
   }
   std::map<std::string, std::vector<std::string>> partners;
-  for (auto& [key, members] : groups) {
-    if (members.size() < 2) continue;
-    std::sort(members.begin(), members.end());
-    for (const std::string& name : members) {
-      std::vector<std::string> others;
-      for (const std::string& other : members) {
-        if (other != name) others.push_back(other);
+  for (const auto& [group, views] : groups) {
+    if (views.size() < 2) continue;
+    std::map<std::string, std::vector<std::string>> replicas;
+    for (const TslQuery* view : views) {
+      replicas[CanonicalizeQuery(*view).key].push_back(view->name);
+    }
+    for (auto& [canonical, members] : replicas) {
+      if (members.size() < 2) continue;
+      std::sort(members.begin(), members.end());
+      for (const std::string& name : members) {
+        std::vector<std::string> others;
+        for (const std::string& other : members) {
+          if (other != name) others.push_back(other);
+        }
+        partners[name] = std::move(others);
       }
-      partners[name] = std::move(others);
     }
   }
   return partners;

@@ -251,6 +251,15 @@ class Mediator {
 
   const std::vector<SourceDescription>& sources() const { return sources_; }
 
+  /// View name -> the other capability views that are valid hedge targets
+  /// for it: α-equivalent view queries (equal canonical keys) over the same
+  /// source with the same bound-variable set, name-sorted. Computed once at
+  /// Make; views with no replica are absent.
+  const std::map<std::string, std::vector<std::string>>& hedge_partners()
+      const {
+    return hedge_partners_;
+  }
+
   /// The structural constraints this mediator plans under (may be null).
   /// The maintenance layer diffs them across snapshot swaps.
   const StructuralConstraints* constraints() const { return constraints_; }
@@ -359,10 +368,7 @@ class Mediator {
 
   std::vector<SourceDescription> sources_;
   const StructuralConstraints* constraints_;
-  /// view name -> the other capability views that are valid hedge targets
-  /// for it: α-equivalent view queries (equal canonical keys) over the same
-  /// source with the same bound-variable set, name-sorted. Computed once at
-  /// Make; empty for views with no replica.
+  /// See hedge_partners().
   std::map<std::string, std::vector<std::string>> hedge_partners_;
   /// All capability views across sources, in source order: the view set
   /// of every full plan search, built once at Make.

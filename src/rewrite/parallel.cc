@@ -113,132 +113,71 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 /// (src/tsl/canonical): CanonicalizeQuery costs about as much as the
 /// equivalence test it would save (it is graph canonicalization), which
 /// would cancel the sharing win on the very workloads the memo targets.
-/// Instead each rule is rendered in two separable parts per condition — a
-/// variable-blind *shape* string and the *wiring*, the sequence of
-/// variable indices in first-occurrence order over (head, shape-sorted
-/// conditions). Equal keys imply the rules are α-isomorphic (the
-/// occurrence numbering exhibits the bijection), so equal keys imply equal
-/// verification outcomes — soundness. α-equivalent rules can still get
-/// distinct keys (e.g. when two conditions share a shape and sort
-/// ambiguously); such a miss merely costs one full verification.
+/// Instead each condition contributes its α-key (AlphaKeyOf, exact up to
+/// renaming inside that condition), the keys are sorted, and the *wiring*
+/// joins them: the first-occurrence index, over (head, sorted conditions),
+/// of each condition's distinct variables in its own key order. Equal keys
+/// imply the rules are α-isomorphic (the per-condition keys give each
+/// condition's renaming and the wiring makes them one bijection), so equal
+/// keys imply equal verification outcomes — soundness. α-equivalent rules
+/// can still get distinct keys (two conditions with equal α-keys sort by
+/// body position, which may wire them differently); such a miss merely
+/// costs one full verification.
 ///
 /// The same idea is applied at two levels. The *candidate* memo keys the
 /// whole verification outcome (chase-unsatisfiable or the \S4 verdict) on
 /// the candidate body before any work runs: every candidate shares the one
 /// query head, so α-isomorphic bodies verify identically, and a hit skips
 /// chase, composition, and the equivalence test outright. Its per-atom key
-/// material (shape, interned variable names) is precomputed once at
+/// material (α-key id, interned variables) is precomputed once at
 /// pipeline construction, making the per-candidate key a few integer
-/// writes. The *composed rule set* memo (CheapRuleKey/RuleSetKey below)
+/// writes. The *composed rule set* memo (RuleKey/RuleSetKey below)
 /// catches candidates whose bodies differ structurally but compose to
 /// α-isomorphic rule sets. Hard errors are never memoized at either level:
 /// an error must re-run so it surfaces with exactly the bytes an unmemoized
 /// verification of that candidate produces.
-struct ShapeOut {
-  std::string shape;               // text with every variable as `?<sort>`
-  std::vector<const Term*> vars;   // variable occurrences, traversal order
-};
 
-void WalkTerm(const Term& t, ShapeOut* out) {
-  switch (t.kind()) {
-    case TermKind::kAtom:
-      out->shape += 'a';
-      out->shape += t.atom_name();
-      out->shape += ';';
-      return;
-    case TermKind::kVariable:
-      out->shape += '?';
-      out->shape += static_cast<char>('0' + static_cast<int>(t.var_kind()));
-      out->vars.push_back(&t);
-      return;
-    case TermKind::kFunction:
-      out->shape += 'f';
-      out->shape += t.functor();
-      out->shape += '(';
-      for (const Term& arg : t.args()) WalkTerm(arg, out);
-      out->shape += ')';
-      return;
-  }
-}
-
-void WalkPattern(const ObjectPattern& p, ShapeOut* out) {
-  out->shape += '<';
-  out->shape += static_cast<char>('0' + static_cast<int>(p.step));
-  WalkTerm(p.oid, out);
-  WalkTerm(p.label, out);
-  if (p.value.is_term()) {
-    WalkTerm(p.value.term(), out);
-  } else {
-    out->shape += '{';
-    for (const ObjectPattern& member : p.value.set()) {
-      WalkPattern(member, out);
-    }
-    out->shape += '}';
-  }
-  out->shape += '>';
-}
-
-/// Appends \p v in decimal without allocating.
-void AppendIndex(size_t v, std::string* out) {
-  if (v < 10) {
-    *out += static_cast<char>('0' + v);
-    return;
-  }
-  char buf[20];
-  size_t n = 0;
-  for (; v > 0; v /= 10) buf[n++] = static_cast<char>('0' + v % 10);
-  while (n > 0) *out += buf[--n];
+/// Appends \p part behind its length, so concatenated parts stay apart.
+void AppendSized(const std::string& part, std::string* out) {
+  *out += std::to_string(part.size());
+  *out += ':';
+  *out += part;
 }
 
 /// The rule's fingerprint; excludes the rule *name* (candidate names embed
 /// the emission sequence number) and is insensitive to body order. This
-/// runs once per composed rule per uncached candidate, so it stays off
-/// node-allocating containers: the first-occurrence index is a linear scan
-/// (a rule has a couple dozen variable occurrences at most).
-std::string CheapRuleKey(const TslQuery& rule) {
-  std::vector<ShapeOut> conds(rule.body.size());
-  std::vector<size_t> order(rule.body.size());
-  size_t vars = 0;
-  size_t shapes = 0;
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    conds[i].shape.reserve(96);
-    conds[i].shape += '@';
-    conds[i].shape += rule.body[i].source;
-    conds[i].shape += ':';
-    WalkPattern(rule.body[i].pattern, &conds[i]);
-    order[i] = i;
-    vars += conds[i].vars.size();
-    shapes += conds[i].shape.size();
-  }
+/// runs once per composed rule per uncached candidate, so the
+/// first-occurrence index is a linear scan (a rule has a couple dozen
+/// variables at most).
+std::string RuleKey(const TslQuery& rule) {
+  const AlphaKey head = AlphaKeyOf(rule.head);
+  std::vector<AlphaKey> conds;
+  conds.reserve(rule.body.size());
+  for (const Condition& c : rule.body) conds.push_back(AlphaKeyOf(c));
+  std::vector<size_t> order(conds.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return conds[a].shape < conds[b].shape;
+    return conds[a].key < conds[b].key;
   });
-  ShapeOut head;
-  WalkPattern(rule.head, &head);
-
-  std::vector<const std::string*> index;  // first-occurrence order
-  index.reserve(vars + head.vars.size());
+  size_t size = head.key.size() + 4 * head.vars.size() + 8;
+  for (const AlphaKey& c : conds) size += c.key.size() + 4 * c.vars.size() + 4;
   std::string key;
-  key.reserve(head.shape.size() + shapes + 5 * (vars + head.vars.size()) +
-              2 * conds.size() + 2);
-  key += head.shape;
-  auto append_wiring = [&](const ShapeOut& part) {
-    key += '#';
-    for (const Term* var : part.vars) {
-      const std::string& name = var->var_name();
+  key.reserve(size);
+  AppendSized(head.key, &key);
+  for (size_t i : order) AppendSized(conds[i].key, &key);
+  key += '#';
+  std::vector<const Term*> index;  // first-occurrence order
+  auto wire = [&](const AlphaKey& part) {
+    for (const Term& var : part.vars) {
       size_t at = 0;
-      while (at < index.size() && *index[at] != name) ++at;
-      if (at == index.size()) index.push_back(&name);
-      AppendIndex(at, &key);
+      while (at < index.size() && *index[at] != var) ++at;
+      if (at == index.size()) index.push_back(&var);
+      key += std::to_string(at);
       key += ',';
     }
   };
-  append_wiring(head);
-  for (size_t i : order) {
-    key += '|';
-    key += conds[i].shape;
-    append_wiring(conds[i]);
-  }
+  wire(head);
+  for (size_t i : order) wire(conds[i]);
   return key;
 }
 
@@ -248,15 +187,10 @@ std::string CheapRuleKey(const TslQuery& rule) {
 std::string RuleSetKey(const TslRuleSet& rules) {
   std::vector<std::string> keys;
   keys.reserve(rules.rules.size());
-  for (const TslQuery& rule : rules.rules) {
-    keys.push_back(CheapRuleKey(rule));
-  }
+  for (const TslQuery& rule : rules.rules) keys.push_back(RuleKey(rule));
   std::sort(keys.begin(), keys.end());
   std::string out;
-  for (const std::string& key : keys) {
-    out += key;
-    out += '\n';
-  }
+  for (const std::string& key : keys) AppendSized(key, &out);
   return out;
 }
 
@@ -357,7 +291,7 @@ class Pipeline {
       p.slot->done = true;
       body_slots_.emplace(std::move(body_key), p.slot);
     } else {
-      std::vector<uint32_t> alpha_key = AlphaKey(chosen);
+      std::vector<uint32_t> alpha_key = CandidateKey(chosen);
       p.slot = std::make_shared<Slot>();
       if (LookupCandidateMemo(alpha_key, p.slot.get())) {
         p.slot->done = true;  // α-isomorphic candidate already verified
@@ -420,9 +354,9 @@ class Pipeline {
   /// per-candidate keys are integer appends, not renders.
   struct AtomKeyInfo {
     uint32_t cond_id = 0;     // exact-identity id of the rendered condition
-    uint32_t shape_id = 0;    // id of the variable-blind shape (with source)
-    uint32_t shape_rank = 0;  // rank of the shape string under `<`
-    std::vector<uint32_t> vars;  // interned variable names, traversal order
+    uint32_t alpha_id = 0;    // id of the condition's α-key
+    uint32_t alpha_rank = 0;  // rank of the α-key string under `<`
+    std::vector<uint32_t> vars;  // interned α-key variables, in key order
   };
 
   /// A completed, error-free verification outcome, shared across
@@ -434,61 +368,53 @@ class Pipeline {
 
   void InternAtoms(const std::vector<CandidateAtom>& atoms) {
     std::map<std::string, uint32_t> cond_ids;
-    std::map<std::string, uint32_t> shape_ids;
-    std::map<std::string, uint32_t> var_ids;
-    auto intern = [](std::map<std::string, uint32_t>& table, std::string s) {
-      return table.emplace(std::move(s), static_cast<uint32_t>(table.size()))
+    std::map<std::string, uint32_t> alpha_ids;
+    std::map<Term, uint32_t> var_ids;
+    auto intern = [](auto& table, auto key) {
+      return table.emplace(std::move(key), static_cast<uint32_t>(table.size()))
           .first->second;
     };
     atom_info_.reserve(atoms.size());
     for (const CandidateAtom& atom : atoms) {
       AtomKeyInfo info;
       info.cond_id = intern(cond_ids, atom.condition.ToString());
-      ShapeOut s;
-      s.shape += '@';
-      s.shape += atom.condition.source;
-      s.shape += ':';
-      WalkPattern(atom.condition.pattern, &s);
-      info.vars.reserve(s.vars.size());
-      for (const Term* var : s.vars) {
-        info.vars.push_back(intern(var_ids, var->var_name()));
+      AlphaKey alpha = AlphaKeyOf(atom.condition);
+      info.vars.reserve(alpha.vars.size());
+      for (const Term& var : alpha.vars) {
+        info.vars.push_back(intern(var_ids, var));
       }
-      info.shape_id = intern(shape_ids, std::move(s.shape));
+      info.alpha_id = intern(alpha_ids, std::move(alpha.key));
       atom_info_.push_back(std::move(info));
     }
-    ShapeOut head_shape;
-    WalkPattern(head_, &head_shape);
-    head_vars_.reserve(head_shape.vars.size());
-    for (const Term* var : head_shape.vars) {
-      head_vars_.push_back(intern(var_ids, var->var_name()));
+    for (const Term& var : AlphaKeyOf(head_).vars) {
+      head_vars_.push_back(intern(var_ids, var));
     }
-    // std::map iterates in key order, which is exactly the shape rank.
-    shape_rank_.resize(shape_ids.size());
+    // std::map iterates in key order, which is exactly the α-key rank.
+    std::vector<uint32_t> rank_of(alpha_ids.size());
     uint32_t rank = 0;
-    for (const auto& [shape, id] : shape_ids) shape_rank_[id] = rank++;
+    for (const auto& [alpha, id] : alpha_ids) rank_of[id] = rank++;
     for (AtomKeyInfo& info : atom_info_) {
-      info.shape_rank = shape_rank_[info.shape_id];
+      info.alpha_rank = rank_of[info.alpha_id];
     }
     var_seen_.assign(var_ids.size(), 0);
     var_index_.assign(var_ids.size(), 0);
   }
 
-  /// The candidate-level memo key: body size, shape ids in shape-sorted
-  /// order (ties keep enumeration order, mirroring CheapRuleKey's stable
-  /// sort), then variable wiring — first-occurrence indices over (head,
-  /// sorted conditions). Equal keys exhibit an α-isomorphism that fixes
-  /// the (shared) head, so equal keys imply equal chase satisfiability and
-  /// equal \S4 verdicts. Runs on the single producer thread only — the
-  /// scratch members are not shared.
-  std::vector<uint32_t> AlphaKey(const std::vector<size_t>& chosen) {
+  /// The candidate-level memo key: body size, α-key ids in α-key order
+  /// (ties keep enumeration order, mirroring RuleKey's stable sort), then
+  /// the wiring over (head, sorted conditions). Equal keys exhibit an
+  /// α-isomorphism that fixes the (shared) head, so equal keys imply equal
+  /// chase satisfiability and equal \S4 verdicts. Runs on the single
+  /// producer thread only — the scratch members are not shared.
+  std::vector<uint32_t> CandidateKey(const std::vector<size_t>& chosen) {
     order_.assign(chosen.begin(), chosen.end());
     std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-      return atom_info_[a].shape_rank < atom_info_[b].shape_rank;
+      return atom_info_[a].alpha_rank < atom_info_[b].alpha_rank;
     });
     std::vector<uint32_t> key;
     key.reserve(1 + chosen.size() * 4);
     key.push_back(static_cast<uint32_t>(chosen.size()));
-    for (size_t i : order_) key.push_back(atom_info_[i].shape_id);
+    for (size_t i : order_) key.push_back(atom_info_[i].alpha_id);
     ++epoch_;
     uint32_t next = 0;
     auto wire = [&](const std::vector<uint32_t>& vars) {
@@ -763,8 +689,7 @@ class Pipeline {
   // read-only.
   std::vector<AtomKeyInfo> atom_info_;
   std::vector<uint32_t> head_vars_;
-  std::vector<uint32_t> shape_rank_;
-  // Producer-only AlphaKey scratch (single producer thread).
+  // Producer-only CandidateKey scratch (single producer thread).
   std::vector<size_t> order_;
   std::vector<uint32_t> var_seen_;
   std::vector<uint32_t> var_index_;

@@ -78,7 +78,77 @@ TermSubstitution BlindSubstitution(const TslQuery& query) {
   return blind;
 }
 
+/// Appends `<tag><n>;`. One-digit counts, the common case, skip
+/// std::to_string.
+void AppendTagged(char tag, size_t n, std::string* key) {
+  key->push_back(tag);
+  if (n < 10) {
+    key->push_back(static_cast<char>('0' + n));
+  } else {
+    key->append(std::to_string(n));
+  }
+  key->push_back(';');
+}
+
+void AlphaWalkTerm(const Term& t, AlphaKey* out) {
+  switch (t.kind()) {
+    case TermKind::kAtom:
+      AppendTagged('a', t.atom_name().size(), &out->key);
+      out->key += t.atom_name();
+      return;
+    case TermKind::kVariable: {
+      auto it = std::find(out->vars.begin(), out->vars.end(), t);
+      if (it == out->vars.end()) it = out->vars.insert(it, t);
+      AppendTagged(t.var_kind() == VarKind::kObjectId ? 'O' : 'C',
+                   it - out->vars.begin(), &out->key);
+      return;
+    }
+    case TermKind::kFunction:
+      AppendTagged('f', t.functor().size(), &out->key);
+      out->key += t.functor();
+      out->key += '(';
+      for (const Term& a : t.args()) AlphaWalkTerm(a, out);
+      out->key += ')';
+      return;
+  }
+}
+
+void AlphaWalkPattern(const ObjectPattern& pattern, AlphaKey* out) {
+  out->key += '<';
+  AlphaWalkTerm(pattern.oid, out);
+  AlphaWalkTerm(pattern.label, out);
+  AppendTagged('s', static_cast<size_t>(pattern.step), &out->key);
+  if (pattern.value.is_term()) {
+    out->key += '=';
+    AlphaWalkTerm(pattern.value.term(), out);
+  } else {
+    out->key += '{';
+    for (const ObjectPattern& m : pattern.value.set()) {
+      AlphaWalkPattern(m, out);
+    }
+    out->key += '}';
+  }
+  out->key += '>';
+}
+
 }  // namespace
+
+AlphaKey AlphaKeyOf(const ObjectPattern& pattern) {
+  AlphaKey out;
+  // A condition's key is a few dozen bytes over a handful of variables;
+  // reserving once skips the regrowth the rewriter's memos pay per rule.
+  out.key.reserve(96);
+  out.vars.reserve(8);
+  AlphaWalkPattern(pattern, &out);
+  return out;
+}
+
+AlphaKey AlphaKeyOf(const Condition& condition) {
+  AlphaKey out = AlphaKeyOf(condition.pattern);
+  out.key += '@';
+  out.key += condition.source;
+  return out;
+}
 
 CanonicalForm CanonicalizeQuery(const TslQuery& query) {
   return CanonicalizeQuery(query, nullptr);

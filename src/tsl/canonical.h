@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "tsl/ast.h"
 
@@ -52,6 +53,27 @@ CanonicalForm CanonicalizeQuery(const TslQuery& query);
 /// appears as a key in \p renaming.
 CanonicalForm CanonicalizeQuery(const TslQuery& query,
                                 std::map<Term, Term>* renaming);
+
+/// \brief The α-key of one pattern or condition: equal keys exactly when
+/// the two are equal up to a sort-preserving renaming of their variables.
+///
+/// One walk in match order (oid, label, step, value, members) spells the
+/// input with each variable replaced by its sort and first-occurrence
+/// index; a condition's key then appends `@` and the source. Atoms and
+/// functors are length-prefixed and every field is tagged, so the key is
+/// injective whatever bytes an atom holds. Unlike CanonicalizeQuery this
+/// is linear in the input and never reorders: it keys one condition (or a
+/// head) on its own, and callers that key a whole rule combine the parts
+/// with `vars`, which maps each first-occurrence index back to the
+/// variable it stands for.
+struct AlphaKey {
+  /// The distinct variables, in first-occurrence order.
+  std::vector<Term> vars;
+  std::string key;
+};
+
+AlphaKey AlphaKeyOf(const ObjectPattern& pattern);
+AlphaKey AlphaKeyOf(const Condition& condition);
 
 /// \brief FNV-1a 64-bit hash. Stable across processes by construction —
 /// cache keys, shard choices, and recorded fingerprints must not depend on

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "fixtures.h"
 #include "tsl/parser.h"
 
@@ -103,6 +109,127 @@ TEST(CanonicalTest, StableFingerprintIsProcessIndependent) {
   EXPECT_EQ(StableFingerprint(""), 14695981039346656037ULL);
   EXPECT_EQ(StableFingerprint("a"), 0xaf63dc4c8601ec8cULL);
   EXPECT_EQ(StableFingerprint("hello"), 0xa430d84680aabd0bULL);
+}
+
+TEST(CanonicalTest, AlphaKeyIsAlphaInvariant) {
+  auto cond = [](std::string_view text) {
+    return MustParse(text, "Q").body.front();
+  };
+  auto key = [](const Condition& c) { return AlphaKeyOf(c).key; };
+  EXPECT_EQ(key(cond("<f(P) o y> :- <P p {<X name Z>}>@db")),
+            key(cond("<f(Q) o y> :- <Q p {<Y name W>}>@db")));
+  // Different source, same pattern: distinct.
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {<X name Z>}>@db")),
+            key(cond("<f(P) o y> :- <P p {<X name Z>}>@other")));
+  // Repeated variables must not collide with distinct ones.
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {<X Y Y>}>@db")),
+            key(cond("<f(P) o y> :- <P p {<X Y Z>}>@db")));
+
+  // `<P p {<X label value>}>@db` with the member's step set directly.
+  auto member = [](Term label, StepKind step, PatternValue value) {
+    ObjectPattern m;
+    m.oid = Term::MakeVar("X", VarKind::kObjectId);
+    m.label = std::move(label);
+    m.step = step;
+    m.value = std::move(value);
+    Condition condition;
+    condition.source = "db";
+    condition.pattern.oid = Term::MakeVar("P", VarKind::kObjectId);
+    condition.pattern.label = Term::MakeAtom("p");
+    condition.pattern.value = PatternValue::FromSet({std::move(m)});
+    return condition;
+  };
+  const Term z = Term::MakeVar("Z", VarKind::kLabelValue);
+  // A label variable vs a label atom, even one spelled like the variable.
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {<X L Z>}>@db")),
+            key(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
+  EXPECT_NE(key(member(Term::MakeVar("L", VarKind::kLabelValue),
+                       StepKind::kChild, PatternValue::FromTerm(z))),
+            key(member(Term::MakeAtom("L"), StepKind::kChild,
+                       PatternValue::FromTerm(z))));
+  // A `**` or `l+` step vs a plain step with the same label.
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {<X name+ Z>}>@db")),
+            key(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {<X ** Z>}>@db")),
+            key(member(Term::MakeAtom("**"), StepKind::kChild,
+                       PatternValue::FromTerm(z))));
+  // The same text as a set value and as an atomic value.
+  EXPECT_NE(key(cond("<f(P) o y> :- <P p {}>@db")),
+            key(cond("<f(P) o y> :- <P p \"{}\">@db")));
+  EXPECT_NE(key(member(Term::MakeAtom("name"), StepKind::kChild,
+                       PatternValue::FromSet({}))),
+            key(member(Term::MakeAtom("name"), StepKind::kChild,
+                       PatternValue::FromTerm(Term::MakeAtom("{}")))));
+}
+
+TEST(CanonicalTest, AlphaKeyReportsVariablesInFirstOccurrenceOrder) {
+  AlphaKey alpha = AlphaKeyOf(
+      MustParse("<f(P) o y> :- <P p {<X L Z> <Y L Z>}>@db").body.front());
+  std::vector<std::string> names;
+  for (const Term& v : alpha.vars) names.push_back(v.var_name());
+  EXPECT_EQ(names, (std::vector<std::string>{"P", "X", "L", "Z", "Y"}));
+  // A head is keyed on its own: `y` is an atom, P repeats.
+  AlphaKey head =
+      AlphaKeyOf(MustParse("<f(P,P) o y> :- <P p {<X L Z>}>@db").head);
+  ASSERT_EQ(head.vars.size(), 1u);
+  EXPECT_EQ(head.vars.front().var_name(), "P");
+}
+
+/// `<oid label value>@source`, built without the parser so atoms may hold
+/// any byte.
+Condition Ground(Term oid, Term label, Term value, std::string source) {
+  Condition c;
+  c.source = std::move(source);
+  c.pattern.oid = std::move(oid);
+  c.pattern.label = std::move(label);
+  c.pattern.value = PatternValue::FromTerm(std::move(value));
+  return c;
+}
+
+TEST(CanonicalTest, AlphaKeyIsInjectiveOnAtomsHoldingSeparators) {
+  auto a = [](std::string name) { return Term::MakeAtom(std::move(name)); };
+  auto f = [](std::string functor, std::vector<Term> args) {
+    return Term::MakeFunc(std::move(functor), std::move(args));
+  };
+  // The pairs a length-blind spelling would merge.
+  auto key = [](const Condition& c) { return AlphaKeyOf(c).key; };
+  EXPECT_NE(key(Ground(f("f", {a("a"), a("b")}), a("l"), a("v"), "db")),
+            key(Ground(f("f", {a("a;ab")}), a("l"), a("v"), "db")));
+  EXPECT_NE(key(Ground(f("f", {a("a"), a("b")}), a("l"), a("v"), "db")),
+            key(Ground(f("f", {a("a,b")}), a("l"), a("v"), "db")));
+
+  const std::vector<std::string> spellings = {
+      "",    "a",      "b",     "ab",  "a;ab", "a,b", "a;",  ";",
+      ",",   "(",      ")",     "a(b", "a)",   "\"a\"", "a\\", "@",
+      "a@db", "<a>",   "#",     "a#1", "|",    "a|b", "1",   "12",
+      "a1;", "a1;b",   "f(a,b)", "=",  "{}",   "s0;", "O0;", "C1;"};
+  std::vector<Term> terms;
+  for (const std::string& s : spellings) {
+    terms.push_back(a(s));
+    terms.push_back(f(s, {}));
+    terms.push_back(f(s, {a("b")}));
+    terms.push_back(f("f", {a(s)}));
+    terms.push_back(f("f", {a("a"), a(s)}));
+    terms.push_back(f("f", {a(s), a("b")}));
+  }
+  std::vector<Condition> conditions;
+  for (const Term& t : terms) {
+    conditions.push_back(Ground(t, a("l"), a("v"), "db"));  // oid
+    conditions.push_back(Ground(a("o"), t, a("v"), "db"));  // label
+    conditions.push_back(Ground(a("o"), a("l"), t, "db"));  // value
+  }
+  for (const std::string& s : spellings) {
+    conditions.push_back(Ground(a("o"), a("l"), a("v"), s));  // source
+  }
+  std::sort(conditions.begin(), conditions.end());
+  conditions.erase(std::unique(conditions.begin(), conditions.end()),
+                   conditions.end());
+  std::map<std::string, const Condition*> seen;
+  for (const Condition& c : conditions) {
+    auto [it, inserted] = seen.emplace(key(c), &c);
+    EXPECT_TRUE(inserted) << it->second->ToString() << " and "
+                          << c.ToString() << " share the key " << it->first;
+  }
 }
 
 }  // namespace

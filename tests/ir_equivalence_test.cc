@@ -362,66 +362,6 @@ TEST(IrEquivalenceTest, CompiledProgramShapesArePinned) {
   }
 }
 
-TEST(IrEquivalenceTest, ConditionFingerprintIsAlphaInvariant) {
-  auto cond = [](std::string_view text) {
-    return MustParse(text, "Q").body.front();
-  };
-  EXPECT_EQ(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")),
-      ConditionFingerprint(cond("<f(Q) o y> :- <Q p {<Y name W>}>@db")));
-  // Different source, same pattern: distinct.
-  EXPECT_NE(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")),
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@other")));
-  // Repeated variables must not collide with distinct ones.
-  EXPECT_NE(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X Y Y>}>@db")),
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X Y Z>}>@db")));
-
-  // `<P p {<X label value>}>@db` with the member's step set directly.
-  auto member = [](Term label, StepKind step, PatternValue value) {
-    ObjectPattern m;
-    m.oid = Term::MakeVar("X", VarKind::kObjectId);
-    m.label = std::move(label);
-    m.step = step;
-    m.value = std::move(value);
-    Condition condition;
-    condition.source = "db";
-    condition.pattern.oid = Term::MakeVar("P", VarKind::kObjectId);
-    condition.pattern.label = Term::MakeAtom("p");
-    condition.pattern.value = PatternValue::FromSet({std::move(m)});
-    return condition;
-  };
-  const Term z = Term::MakeVar("Z", VarKind::kLabelValue);
-  // A label variable vs a label atom, even one spelled like the variable.
-  EXPECT_NE(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X L Z>}>@db")),
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
-  EXPECT_NE(ConditionFingerprint(
-                member(Term::MakeVar("L", VarKind::kLabelValue),
-                       StepKind::kChild, PatternValue::FromTerm(z))),
-            ConditionFingerprint(member(Term::MakeAtom("L"), StepKind::kChild,
-                                        PatternValue::FromTerm(z))));
-  // A `**` or `l+` step vs a plain step with the same label.
-  EXPECT_NE(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name+ Z>}>@db")),
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X name Z>}>@db")));
-  EXPECT_NE(
-      ConditionFingerprint(cond("<f(P) o y> :- <P p {<X ** Z>}>@db")),
-      ConditionFingerprint(member(Term::MakeAtom("**"), StepKind::kChild,
-                                  PatternValue::FromTerm(z))));
-  // The same text as a set value and as an atomic value.
-  EXPECT_NE(ConditionFingerprint(cond("<f(P) o y> :- <P p {}>@db")),
-            ConditionFingerprint(cond("<f(P) o y> :- <P p \"{}\">@db")));
-  EXPECT_NE(ConditionFingerprint(member(Term::MakeAtom("name"),
-                                        StepKind::kChild,
-                                        PatternValue::FromSet({}))),
-            ConditionFingerprint(member(Term::MakeAtom("name"),
-                                        StepKind::kChild,
-                                        PatternValue::FromTerm(
-                                            Term::MakeAtom("{}")))));
-}
-
 TEST(IrEquivalenceTest, DisassemblyListsOpsAndUnits) {
   PlanCompiler compiler;
   auto program =

@@ -1,5 +1,6 @@
 #include "mediator/mediator.h"
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -343,6 +344,46 @@ TEST(MediatorTest, MakeAcceptsInterchangeableViews) {
     used.insert(plan.views_used.begin(), plan.views_used.end());
   }
   EXPECT_EQ(used, (std::set<std::string>{"Da", "Db"}));
+}
+
+TEST(MediatorTest, HedgePartnersAreTheAlphaEquivalentReplicas) {
+  auto cap = [](const std::string& text, const std::string& name,
+                std::set<std::string> bound) {
+    Capability c;
+    c.view = MustParse(text, name);
+    c.bound_variables = std::move(bound);
+    return c;
+  };
+  const std::string y97 =
+      "<y97(P') pub {<X' Y' Z'>}> :- "
+      "<P' publication {<U' year \"1997\">}>@s1 AND "
+      "<P' publication {<X' Y' Z'>}>@s1";
+  // α-renamed and body-reordered; X' keeps its name so it can stay bound.
+  const std::string mirror =
+      "<y97(Q') pub {<X' B' C'>}> :- "
+      "<Q' publication {<X' B' C'>}>@s1 AND "
+      "<Q' publication {<W' year \"1997\">}>@s1";
+  // Same condition α-keys and head as `wired`, but Z' no longer joins the
+  // two conditions: only the in-group canonicalization tells them apart.
+  const std::string wired =
+      "<w(P') o yes> :- <P' a {<X' b Z'>}>@s1 AND <P' a {<Y' c Z'>}>@s1";
+  const std::string unwired =
+      "<w(P') o yes> :- <P' a {<X' b Z'>}>@s1 AND <P' a {<Y' c W'>}>@s1";
+  std::string y96 = y97;
+  y96.replace(y96.find("1997"), 4, "1996");
+  auto mediator = Mediator::Make({SourceDescription{
+      "s1",
+      {cap(y97, "Y97", {}), cap(mirror, "Y97m", {}),
+       cap(y97, "Y97x", {"X'"}), cap(mirror, "Y97mx", {"X'"}),
+       cap(mirror, "Y97mb", {"B'"}), cap(y96, "Y96", {}),
+       cap(wired, "Wired", {}), cap(unwired, "Unwired", {})}}});
+  ASSERT_TRUE(mediator.ok()) << mediator.status();
+  using Partners = std::map<std::string, std::vector<std::string>>;
+  EXPECT_EQ(mediator->hedge_partners(),
+            (Partners{{"Y97", {"Y97m"}},
+                      {"Y97m", {"Y97"}},
+                      {"Y97mx", {"Y97x"}},
+                      {"Y97x", {"Y97mx"}}}));
 }
 
 TEST(MediatorTest, PlanSearchSkipsFillerViewsThroughItsIndex) {

@@ -147,6 +147,25 @@ TEST(ParallelRewriteTest, PerArmStarIsByteIdenticalWithAndWithoutPruning) {
   ExpectMatchesReference(StarQuery(3), PerArmViews(3), options);
 }
 
+TEST(ParallelRewriteTest, SeparatorAtomsDoNotShareMemoEntries) {
+  // `f(a,b)` and `f("a;ab")` are distinct conditions; a memo key that
+  // spells atoms without a length would let the candidate holding one
+  // reuse the verdict of the candidate holding the other and accept a
+  // non-minimal rewriting the reference rejects.
+  TslQuery query = MustParse(
+      "<ans() out yes> :- <f(a,b) l v>@db AND <p(a,b) n v>@db AND "
+      "<f(\"a;ab\") l v>@db",
+      "Q");
+  std::vector<TslQuery> views = {
+      MustParse("<g(O) l V> :- <O l V>@db", "V1"),
+      MustParse("<k(A,B) both V> :- <f(A,B) l V>@db AND <p(A,B) n V>@db",
+                "V3")};
+  RewriteOptions options;
+  options.use_cover_heuristic = false;
+  options.require_total = true;
+  EXPECT_GT(ExpectMatchesReference(query, views, options), 0u);
+}
+
 TEST(ParallelRewriteTest, TruncationIsByteIdentical) {
   TslQuery query = StarQuery(5);
   std::vector<TslQuery> views = PerArmViews(5);
