@@ -6,6 +6,9 @@
 // every branch, so composition produces b^n resolvent rules. The `rules`
 // counter exposes the blow-up; time follows it. The selective family shows
 // the practical case (constant labels, one unifier each) staying linear.
+// The star-candidates family is a rewriting search's composition load:
+// every cover of a k-arm star by per-arm views and a catch-all, composed
+// with one shared ComposeCache, as a search's verification worker does.
 
 #include <benchmark/benchmark.h>
 
@@ -91,6 +94,54 @@ BENCHMARK(BM_ComposeDeepPush)
     ->RangeMultiplier(2)
     ->Range(1, 32)
     ->Complexity();
+
+void BM_ComposeStarCandidates(benchmark::State& state) {
+  // The 2^k covers of a k-arm star: arm i comes from its own view A<i>
+  // or from the catch-all D (perfbench's catalog shape). One cache serves
+  // all of them, so each distinct (condition, view) pair is resolved once
+  // per iteration and every later cover concatenates memoized bodies.
+  const int k = static_cast<int>(state.range(0));
+  std::vector<TslQuery> views;
+  for (int i = 0; i < k; ++i) {
+    views.push_back(MustParse(StrCat("<a", i, "(P') oa", i, " {<wa", i,
+                                     "(X') m U'>}> :- <P' rec {<X' l", i,
+                                     " U'>}>@db"),
+                              StrCat("A", i)));
+  }
+  views.push_back(MakeDumpView("D"));
+  std::vector<TslQuery> candidates;
+  for (int mask = 0; mask < (1 << k); ++mask) {
+    std::vector<std::string> body;
+    for (int i = 0; i < k; ++i) {
+      body.push_back(
+          (mask >> i & 1)
+              ? StrCat("<d(P) rec {<X", i, " l", i, " u", i, ">}>@D")
+              : StrCat("<a", i, "(P) oa", i, " {<wa", i, "(X", i, ") m u", i,
+                       ">}>@A", i));
+    }
+    candidates.push_back(MustParse(
+        StrCat("<f(P) out yes> :- ", Join(body, " AND ")), "C"));
+  }
+  size_t rules = 0;
+  size_t entries = 0;
+  for (auto _ : state) {
+    ComposeCache cache;
+    rules = 0;
+    for (const TslQuery& candidate : candidates) {
+      auto composed = ComposeWithViews(candidate, views, &cache);
+      if (!composed.ok()) {
+        state.SkipWithError(composed.status().ToString().c_str());
+        return;
+      }
+      rules += composed->rules.size();
+    }
+    entries = cache.size();
+  }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
+  state.counters["rules"] = static_cast<double>(rules);
+  state.counters["memo_entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_ComposeStarCandidates)->DenseRange(3, 6);
 
 }  // namespace
 }  // namespace tslrw::bench

@@ -188,6 +188,37 @@ void BM_DegradedVsTotalPlanning(benchmark::State& state) {
 }
 BENCHMARK(BM_DegradedVsTotalPlanning)->Arg(0)->Arg(1);
 
+void BM_MediatorMake(benchmark::State& state) {
+  // Mediator::Make over one source and N single-path capability views
+  // (the analyzer's per-rule passes, then the view index): the set-up a
+  // catalog edit pays in full.
+  const int n = static_cast<int>(state.range(0));
+  std::vector<Capability> caps;
+  caps.reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Capability cap;
+    cap.view = MustParse(StrCat("<v", i, "(P') o", i, " {<w", i,
+                                "(X') k U'>}> :- <P' rec {<X' m", i,
+                                " U'>}>@db"),
+                         StrCat("V", i));
+    caps.push_back(std::move(cap));
+  }
+  const std::vector<SourceDescription> sources = {
+      SourceDescription{"db", std::move(caps)}};
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<SourceDescription> copy = sources;
+    state.ResumeTiming();
+    auto mediator = Mediator::Make(std::move(copy));
+    if (!mediator.ok()) {
+      state.SkipWithError(mediator.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(mediator);
+  }
+}
+BENCHMARK(BM_MediatorMake)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace tslrw::bench
 

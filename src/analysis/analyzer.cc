@@ -172,8 +172,7 @@ void Analyzer::WellFormednessPasses(const TslQuery& query,
 
 void Analyzer::UnsatisfiablePass(const TslQuery& query,
                                  std::vector<Diagnostic>* out) const {
-  ChaseOptions chase{options_.constraints, options_.constraint_exempt_sources};
-  auto chased = ChaseQuery(query, chase);
+  auto chased = ChaseQuery(query, chase_options_);
   if (chased.ok() || !chased.status().IsUnsatisfiable()) return;
   SourceSpan span =
       query.body.empty() ? query.span : query.body.front().pattern.span;
@@ -184,12 +183,11 @@ void Analyzer::UnsatisfiablePass(const TslQuery& query,
 void Analyzer::RedundantConditionPass(const TslQuery& query,
                                       std::vector<Diagnostic>* out) const {
   if (query.body.size() < 2) return;
-  ChaseOptions chase{options_.constraints, options_.constraint_exempt_sources};
   for (size_t i = 0; i < query.body.size(); ++i) {
     TslQuery reduced = query;
     reduced.body.erase(reduced.body.begin() + static_cast<ptrdiff_t>(i));
     if (!CheckSafety(reduced).ok()) continue;  // condition binds head vars
-    auto equivalent = AreEquivalent(reduced, query, chase);
+    auto equivalent = AreEquivalent(reduced, query, chase_options_);
     if (!equivalent.ok() || !*equivalent) continue;
     Report(out, DiagCode::kRedundantCondition, query.body[i].pattern.span,
            query.name,

@@ -9,6 +9,7 @@
 
 #include "analysis/diagnostic.h"
 #include "constraints/inference.h"
+#include "rewrite/chase.h"
 #include "tsl/ast.h"
 
 namespace tslrw {
@@ -64,7 +65,9 @@ struct AnalysisReport {
 class Analyzer {
  public:
   explicit Analyzer(AnalyzerOptions options = {})
-      : options_(std::move(options)) {}
+      : options_(std::move(options)),
+        chase_options_{options_.constraints,
+                       options_.constraint_exempt_sources} {}
 
   /// Every per-rule pass over one query or view definition.
   AnalysisReport AnalyzeQuery(const TslQuery& query) const;
@@ -103,6 +106,9 @@ class Analyzer {
                     std::vector<Diagnostic>* out) const;
 
   AnalyzerOptions options_;
+  /// The semantic passes' chase options, built once: the exempt-name set
+  /// holds every view name of a catalog, too large to copy per rule.
+  ChaseOptions chase_options_;
 };
 
 }  // namespace tslrw

@@ -1,11 +1,13 @@
 #include "rewrite/compose.h"
 
+#include <algorithm>
 #include <deque>
-#include <map>
+#include <functional>
+#include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/string_util.h"
-#include "rewrite/substitution.h"
 #include "tsl/normal_form.h"
 
 namespace tslrw {
@@ -14,17 +16,19 @@ namespace {
 
 /// Unifies the remaining steps of \p path (from index \p i) against the
 /// head node \p node, collecting every successful unifier into \p out.
+/// Each unification puts the head's term first, so a head variable meeting
+/// a path term is the one bound.
 void Descend(const Path& path, size_t i, const ObjectPattern& node,
              Substitution subst, std::vector<Substitution>* out) {
-  if (!subst.UnifyTerms(path.steps[i].oid, node.oid)) return;
-  if (!subst.UnifyTerms(path.steps[i].label, node.label)) return;
+  if (!subst.UnifyTerms(node.oid, path.steps[i].oid)) return;
+  if (!subst.UnifyTerms(node.label, path.steps[i].label)) return;
   const size_t d = i + 1;
   if (d == path.steps.size()) {
     // Tail position.
     if (path.tail.is_term()) {
       const Term& t = path.tail.term();
       if (node.value.is_term()) {
-        if (subst.UnifyTerms(t, node.value.term())) {
+        if (subst.UnifyTerms(node.value.term(), t)) {
           out->push_back(std::move(subst));
         }
       } else if (t.is_var() && subst.BindSet(t, node.value.set())) {
@@ -76,30 +80,96 @@ std::vector<Substitution> UnifyPathWithHead(const Path& path,
   return out;
 }
 
+size_t HashPattern(const ObjectPattern& p) {
+  size_t h = p.oid.Hash() * 31 + p.label.Hash();
+  h = h * 31 + static_cast<size_t>(p.step);
+  if (p.value.is_term()) return h * 31 + p.value.term().Hash();
+  h = h * 31 + 0x9e3779b97f4a7c15ull;
+  for (const ObjectPattern& m : p.value.set()) h = h * 31 + HashPattern(m);
+  return h;
+}
+
+size_t HashCondition(const Condition& condition) {
+  return HashPattern(condition.pattern) * 31 +
+         std::hash<std::string>()(condition.source);
+}
+
+/// Hash consistent with TslQuery's == (head and body; not the name).
+size_t HashRule(const TslQuery& rule) {
+  size_t h = HashPattern(rule.head);
+  for (const Condition& c : rule.body) h = h * 31 + HashCondition(c);
+  return h;
+}
+
 }  // namespace
 
-const TslQuery& ComposeCache::RenamedView(const TslQuery& view,
-                                          int instance) {
-  auto key = std::make_pair(view.name, instance);
-  auto it = renamed_.find(key);
-  if (it == renamed_.end()) {
-    it = renamed_
-             .emplace(std::move(key),
-                      RenameVariablesApart(view, StrCat("_i", instance)))
-             .first;
+size_t ComposeCache::ConditionHash::operator()(
+    const Condition& condition) const {
+  return HashCondition(condition);
+}
+
+Result<const ComposeCache::Entry*> ComposeCache::Lookup(
+    const Condition& condition, const ViewsByName& views) {
+  auto it = entries_.find(condition);
+  if (it != entries_.end()) return &it->second;
+
+  TSLRW_ASSIGN_OR_RETURN(Path path, FlattenPath(condition));
+  for (const Path::Step& step : path.steps) {
+    if (step.kind != StepKind::kChild) {
+      return Status::IllFormedQuery(
+          StrCat("condition ", condition.ToString(),
+                 " uses a regular path step over a view; composition of "
+                 "regular path expressions is unsupported (\\S7 future "
+                 "work)"));
+    }
   }
-  return it->second;
+  const TslQuery view = RenameVariablesApart(*views.at(condition.source),
+                                             StrCat("_i", ++instances_));
+  std::set<Term> own;  // the instance's variables
+  view.head.CollectVariables(&own);
+  for (const Condition& c : view.body) c.pattern.CollectVariables(&own);
+
+  Entry entry;
+  for (Substitution& unifier : UnifyPathWithHead(path, view.head)) {
+    for (const auto& [var, term] : unifier.terms().bindings()) {
+      entry.local = entry.local && own.count(var) > 0;
+    }
+    for (const auto& [var, members] : unifier.sets()) {
+      entry.local = entry.local && own.count(var) > 0;
+    }
+    Resolvent r;
+    r.body.reserve(view.body.size());
+    for (const Condition& c : view.body) {
+      r.body.push_back(unifier.Apply(c));
+      r.refers_to_views = r.refers_to_views || views.count(c.source) > 0;
+    }
+    r.unifier = std::move(unifier);
+    entry.resolvents.push_back(std::move(r));
+  }
+  return &entries_.emplace(condition, std::move(entry)).first->second;
 }
 
 Result<TslRuleSet> ComposeWithViews(const TslQuery& rewriting,
                                     const std::vector<TslQuery>& views,
                                     ComposeCache* cache) {
-  std::map<std::string, const TslQuery*> by_name;
+  ComposeCache call_cache;
+  if (cache == nullptr) cache = &call_cache;
+  ComposeCache::ViewsByName by_name;
   for (const TslQuery& v : views) by_name[v.name] = &v;
 
-  std::deque<TslQuery> work{ToNormalForm(rewriting)};
+  /// A rule still to resolve; `resolved` marks one known to hold no view
+  /// condition.
+  struct Item {
+    TslQuery rule;
+    bool resolved = false;
+  };
+  std::deque<Item> work;
+  work.push_back(Item{ToNormalForm(rewriting), false});
   TslRuleSet result;
-  int instance = 0;
+  std::unordered_multimap<size_t, size_t> result_index;  // HashRule -> rule
+  std::vector<size_t> at;  // body positions resolved in this step
+  std::vector<const ComposeCache::Entry*> entries;
+  std::vector<size_t> choice;
   // Far above anything legal inputs produce; cyclic view definitions (a
   // view whose body refers to itself) are the only way to approach it.
   constexpr int kMaxSteps = 100000;
@@ -108,66 +178,108 @@ Result<TslRuleSet> ComposeWithViews(const TslQuery& rewriting,
       return Status::InvalidArgument(
           "composition did not terminate; are the view definitions cyclic?");
     }
-    TslQuery rule = std::move(work.front());
+    Item item = std::move(work.front());
     work.pop_front();
+    TslQuery& rule = item.rule;
 
-    size_t view_cond = rule.body.size();
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      if (by_name.count(rule.body[i].source) > 0) {
-        view_cond = i;
+    // The leading run of view conditions with local entries, or the first
+    // view condition alone when its entry is not local.
+    at.clear();
+    entries.clear();
+    bool dropped = false;
+    bool rest_has_views = false;
+    for (size_t i = 0; !item.resolved && i < rule.body.size(); ++i) {
+      if (by_name.count(rule.body[i].source) == 0) continue;
+      TSLRW_ASSIGN_OR_RETURN(const ComposeCache::Entry* entry,
+                             cache->Lookup(rule.body[i], by_name));
+      if (entry->resolvents.empty()) {
+        // No unifier: this rule can never produce answers; drop it.
+        dropped = true;
         break;
       }
+      if (!entry->local && !at.empty()) {
+        rest_has_views = true;  // resolved by a later step
+        break;
+      }
+      at.push_back(i);
+      entries.push_back(entry);
+      if (!entry->local) break;
     }
-    if (view_cond == rule.body.size()) {
+    if (dropped) continue;
+    if (at.empty()) {
       // Fully resolved: keep if not a duplicate.
-      bool duplicate = false;
-      for (const TslQuery& r : result.rules) duplicate = duplicate || r == rule;
-      if (!duplicate) result.rules.push_back(std::move(rule));
+      const size_t hash = HashRule(rule);
+      const auto [first, last] = result_index.equal_range(hash);
+      if (std::none_of(first, last, [&](const auto& entry) {
+            return result.rules[entry.second] == rule;
+          })) {
+        result_index.emplace(hash, result.rules.size());
+        result.rules.push_back(std::move(rule));
+      }
       continue;
     }
 
-    TSLRW_ASSIGN_OR_RETURN(Path path, FlattenPath(rule.body[view_cond]));
-    for (const Path::Step& step : path.steps) {
-      if (step.kind != StepKind::kChild) {
-        return Status::IllFormedQuery(
-            StrCat("condition ", rule.body[view_cond].ToString(),
-                   " uses a regular path step over a view; composition of "
-                   "regular path expressions is unsupported (\\S7 future "
-                   "work)"));
+    if (!entries.front()->local) {
+      // Resolve this one condition, applying its unifier to the whole rule.
+      const size_t pos = at.front();
+      for (const ComposeCache::Resolvent& r : entries.front()->resolvents) {
+        TslQuery resolvent;
+        resolvent.name = rule.name;
+        resolvent.head = r.unifier.Apply(rule.head);
+        resolvent.body.reserve(rule.body.size() - 1 + r.body.size());
+        for (size_t i = 0; i < rule.body.size(); ++i) {
+          if (i != pos) resolvent.body.push_back(r.unifier.Apply(rule.body[i]));
+        }
+        resolvent.body.insert(resolvent.body.end(), r.body.begin(),
+                              r.body.end());
+        work.push_back(Item{ToNormalForm(std::move(resolvent)), false});
       }
+      continue;
     }
-    const TslQuery& view_def = *by_name.at(rule.body[view_cond].source);
-    ++instance;
-    TslQuery renamed_here;  // only populated on the uncached path
-    if (cache == nullptr) {
-      renamed_here = RenameVariablesApart(view_def, StrCat("_i", instance));
-    }
-    const TslQuery& view =
-        cache ? cache->RenamedView(view_def, instance) : renamed_here;
-    for (const Substitution& subst : UnifyPathWithHead(path, view.head)) {
-      TslQuery resolvent;
-      resolvent.name = rule.name;
-      resolvent.head = subst.Apply(rule.head);
-      resolvent.body.reserve(rule.body.size() - 1 + view.body.size());
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        if (i == view_cond) continue;
-        resolvent.body.push_back(subst.Apply(rule.body[i]));
+
+    // Local entries touch nothing outside their instance: one resolvent per
+    // combination of unifiers, in lexicographic order (first condition
+    // most significant), each the untouched rest of the rule followed by
+    // the chosen bodies.
+    choice.assign(entries.size(), 0);
+    while (true) {
+      Item resolvent;
+      resolvent.rule.name = rule.name;
+      resolvent.rule.head = rule.head;
+      for (size_t i = 0, a = 0; i < rule.body.size(); ++i) {
+        if (a < at.size() && at[a] == i) {
+          ++a;
+        } else {
+          resolvent.rule.body.push_back(rule.body[i]);
+        }
       }
-      for (const Condition& vc : view.body) {
-        resolvent.body.push_back(subst.Apply(vc));
+      bool refers_to_views = rest_has_views;
+      for (size_t k = 0; k < entries.size(); ++k) {
+        const ComposeCache::Resolvent& r = entries[k]->resolvents[choice[k]];
+        resolvent.rule.body.insert(resolvent.rule.body.end(),
+                                   r.body.begin(), r.body.end());
+        refers_to_views = refers_to_views || r.refers_to_views;
       }
-      work.push_back(ToNormalForm(std::move(resolvent)));
+      resolvent.rule = ToNormalForm(std::move(resolvent.rule));
+      resolvent.resolved = !refers_to_views;
+      work.push_back(std::move(resolvent));
+      size_t k = entries.size();
+      while (k > 0 && ++choice[k - 1] == entries[k - 1]->resolvents.size()) {
+        choice[--k] = 0;
+      }
+      if (k == 0) break;
     }
-    // No unifier: this resolvent can never produce answers; drop it.
   }
   return result;
 }
 
 Result<TslRuleSet> ComposeWithViews(const TslRuleSet& rewriting,
                                     const std::vector<TslQuery>& views) {
+  ComposeCache cache;
   TslRuleSet out;
   for (const TslQuery& rule : rewriting.rules) {
-    TSLRW_ASSIGN_OR_RETURN(TslRuleSet part, ComposeWithViews(rule, views));
+    TSLRW_ASSIGN_OR_RETURN(TslRuleSet part,
+                           ComposeWithViews(rule, views, &cache));
     for (TslQuery& r : part.rules) {
       bool duplicate = false;
       for (const TslQuery& existing : out.rules) {

@@ -35,13 +35,17 @@ constexpr size_t kBatchSize = 32;
 
 using SteadyClock = std::chrono::steady_clock;
 
-/// Observes the microseconds since \p start into \p hist (null: no-op).
-void ObserveSince(Histogram* hist, SteadyClock::time_point start) {
+/// Observes the microseconds since \p start into \p hist and adds them to
+/// \p total (null \p hist: no-op).
+void ObserveSince(Histogram* hist, SteadyClock::time_point start,
+                  std::atomic<uint64_t>* total) {
   if (hist == nullptr) return;
-  hist->Observe(static_cast<uint64_t>(
+  const auto us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           SteadyClock::now() - start)
-          .count()));
+          .count());
+  hist->Observe(us);
+  total->fetch_add(us, std::memory_order_relaxed);
 }
 
 /// How one candidate's verification ended: the decision points of the
@@ -319,9 +323,9 @@ class Pipeline {
   }
 
   /// Flushes stragglers, commits everything, joins the pool, and folds the
-  /// shared-work counters into the result. Returns the first in-order hard
-  /// error, or OK.
-  Status Finish() {
+  /// shared-work counters into the result and the summed step timers into
+  /// \p step_us. Returns the first in-order hard error, or OK.
+  Status Finish(uint64_t* step_us) {
     {
       std::unique_lock<std::mutex> lock(mu_);
       Flush(lock);
@@ -336,6 +340,7 @@ class Pipeline {
     if (pool_ != nullptr) pool_->Shutdown();
     result_->chase_cache_hits += chase_hits_.load();
     result_->equiv_cache_hits += equiv_hits_.load();
+    *step_us = step_us_.load();
     return failed_ ? failure_ : Status::OK();
   }
 
@@ -592,7 +597,7 @@ class Pipeline {
     if (!have_entry) {
       const auto start = SteadyClock::now();
       Result<TslQuery> fresh = ChaseQuery(candidate, chase_options_);
-      ObserveSince(chase_us_, start);
+      ObserveSince(chase_us_, start, &step_us_);
       if (fresh.ok()) {
         chased = std::make_shared<const TslQuery>(std::move(fresh).value());
       } else if (fresh.status().IsUnsatisfiable()) {
@@ -618,7 +623,7 @@ class Pipeline {
     auto start = SteadyClock::now();
     Result<TslRuleSet> composed =
         ComposeWithViews(*chased, views_, &ctx.compose);
-    ObserveSince(compose_us_, start);
+    ObserveSince(compose_us_, start, &step_us_);
     if (!composed.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = composed.status();
@@ -638,7 +643,7 @@ class Pipeline {
     }
     start = SteadyClock::now();
     Result<bool> equivalent = ctx.tester.EquivalentTo(*composed);
-    ObserveSince(equiv_us_, start);
+    ObserveSince(equiv_us_, start, &step_us_);
     if (!equivalent.ok()) {
       out.stage = Slot::Stage::kLateError;
       out.error = equivalent.status();
@@ -672,6 +677,7 @@ class Pipeline {
   Histogram* chase_us_ = nullptr;
   Histogram* compose_us_ = nullptr;
   Histogram* equiv_us_ = nullptr;
+  std::atomic<uint64_t> step_us_{0};  // sum of the three phases' samples
 
   // Producer/commit state; guarded by mu_ (slot_ready_ signals new done
   // slots). `result_` and `accepted_` are written by the producer thread
@@ -723,13 +729,14 @@ Status VerifyCandidates(const TslQuery& chased_query,
                         const EquivalenceTester& tester,
                         const CandidateEnumerator& enumerator,
                         const RewriteOptions& options, size_t workers,
-                        RewriteResult* result, bool* complete) {
+                        RewriteResult* result, bool* complete,
+                        uint64_t* step_us) {
   Pipeline pipeline(chased_query, chased_views, enumerator.atoms(),
                     chase_options, tester, options, workers, result);
   *complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {
     return pipeline.OnCandidate(enumerator.atoms(), chosen);
   });
-  return pipeline.Finish();
+  return pipeline.Finish(step_us);
 }
 
 }  // namespace tslrw

@@ -2,6 +2,7 @@
 #define TSLRW_REWRITE_PARALLEL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -33,7 +34,8 @@ namespace tslrw {
 ///
 /// When `options.metrics` is set, every chase, composition, and \S4 test
 /// that actually runs (not a memo hit) is timed into the
-/// `rewrite.phase.{chase,compose,equiv}_us` histograms.
+/// `rewrite.phase.{chase,compose,equiv}_us` histograms, and \p step_us
+/// receives the sum of those samples (0 without a registry).
 ///
 /// \param enumerator the Step 1B enumerator (already holding the atoms).
 /// \param workers resolved worker count, >= 1; 1 verifies inline.
@@ -49,7 +51,8 @@ Status VerifyCandidates(const TslQuery& chased_query,
                         const EquivalenceTester& tester,
                         const CandidateEnumerator& enumerator,
                         const RewriteOptions& options, size_t workers,
-                        RewriteResult* result, bool* complete);
+                        RewriteResult* result, bool* complete,
+                        uint64_t* step_us);
 
 }  // namespace tslrw
 

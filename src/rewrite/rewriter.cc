@@ -146,8 +146,8 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   // this thread: candidate chases run on worker threads under parallelism,
   // and excluding them everywhere keeps the result byte-identical across
   // parallelism levels (and the shared set race-free).
-  ChaseOptions input_chase_options = chase_options;
-  input_chase_options.fired_constraints = &result.fired_constraints;
+  chase_options.fired_constraints = &result.fired_constraints;
+  const auto inputs_start = SteadyClock::now();
   ScopedSpan chase_span(options.tracer, "rewrite.chase_inputs");
   const bool indexed =
       options.view_index != nullptr && options.view_index->CoversViews(views);
@@ -155,7 +155,7 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   ChasedInputs inputs;
   if (indexed) {
     TSLRW_ASSIGN_OR_RETURN(
-        inputs, ChaseInputsIndexed(query, views, input_chase_options,
+        inputs, ChaseInputsIndexed(query, views, chase_options,
                                    *options.view_index, &probe));
     CountIf(options.metrics, "catalog.index_probes");
     if (options.metrics != nullptr) {
@@ -171,11 +171,13 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
       CountIf(options.metrics, "catalog.index_misses");
       chase_span.Annotate("index_probe", "miss");
     }
-    TSLRW_ASSIGN_OR_RETURN(
-        inputs, ChaseInputs(query, views, input_chase_options));
+    TSLRW_ASSIGN_OR_RETURN(inputs, ChaseInputs(query, views, chase_options));
   }
   chase_span.Annotate("live_views", static_cast<uint64_t>(inputs.views.size()));
   chase_span.EndNow();
+  chase_options.fired_constraints = nullptr;
+  ObserveIf(options.metrics, "rewrite.phase.inputs_us",
+            ElapsedUs(inputs_start));
   if (inputs.query_unsatisfiable) {
     rewrite_span.Annotate("unsatisfiable", "true");
     CountIf(options.metrics, "rewrite.unsatisfiable_queries");
@@ -187,6 +189,7 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
 
   // Step 1A: mappings from each view body into the query body, turned into
   // candidate atoms.
+  const auto mappings_start = SteadyClock::now();
   ScopedSpan mappings_span(options.tracer, "rewrite.mappings");
   TSLRW_ASSIGN_OR_RETURN(
       std::vector<CandidateAtom> atoms,
@@ -197,21 +200,27 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   mappings_span.Annotate("mappings", static_cast<uint64_t>(result.mappings_found));
   mappings_span.Annotate("candidate_atoms", static_cast<uint64_t>(atoms.size()));
   mappings_span.EndNow();
+  ObserveIf(options.metrics, "rewrite.phase.mappings_us",
+            ElapsedUs(mappings_start));
 
   // Steps 1B-1C-2: assemble, chase, compose, and verify candidates. The
   // query side of every equivalence test is fixed: decompose it once.
+  const auto tester_start = SteadyClock::now();
   TSLRW_ASSIGN_OR_RETURN(
       EquivalenceTester tester,
       EquivalenceTester::Make(TslRuleSet::Single(q), chase_options));
+  ObserveIf(options.metrics, "rewrite.phase.tester_us",
+            ElapsedUs(tester_start));
   CandidateEnumerator enumerator(std::move(atoms), q.body.size(), options);
   const size_t workers = ResolveParallelism(options.parallelism);
   ScopedSpan search_span(options.tracer, "rewrite.search");
   search_span.Annotate("workers", static_cast<uint64_t>(workers));
   const auto verify_start = SteadyClock::now();
   bool complete = true;
-  const Status failure = VerifyCandidates(q, inputs.views, chase_options,
-                                          tester, enumerator, options,
-                                          workers, &result, &complete);
+  uint64_t step_us = 0;
+  const Status failure = VerifyCandidates(
+      q, inputs.views, chase_options, tester, enumerator, options, workers,
+      &result, &complete, &step_us);
   result.verify_wall_ticks = ElapsedUs(verify_start);
   if (!failure.ok()) {
     CountIf(options.metrics, "rewrite.errors");
@@ -245,6 +254,12 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
         ->Increment(result.batches_dispatched);
     if (result.truncated) m.GetCounter("rewrite.truncated")->Increment();
     m.GetHistogram("rewrite.verify_us")->Observe(result.verify_wall_ticks);
+    // Workers' step timers overlap on a pool; the remainder is exact
+    // inline and clamped at zero otherwise.
+    m.GetHistogram("rewrite.phase.search_overhead_us")
+        ->Observe(result.verify_wall_ticks > step_us
+                      ? result.verify_wall_ticks - step_us
+                      : 0);
   }
   if (result.truncated && options.strict_limits) {
     return Status::ResourceExhausted(

@@ -346,6 +346,50 @@ TEST(ObsIntegrationTest, RewritePhaseHistogramsFillOnAWorkerPool) {
   EXPECT_LT(equiv, result->candidates_tested);  // the memo did share work
 }
 
+TEST(ObsIntegrationTest, RewriteStageHistogramsReconcileWithVerifyTime) {
+  // Each stage of RewriteQuery outside the candidate loop observes one
+  // sample per search, and inline the search overhead is exactly the
+  // verification wall time the chase, compose and \S4 step timers leave.
+  std::vector<TslQuery> views;
+  std::vector<std::string> arms;
+  for (int i = 0; i < 3; ++i) {
+    arms.push_back(StrCat("<P rec {<X", i, " l", i, " u", i, ">}>@db"));
+    views.push_back(
+        ParseTslQuery(StrCat("<v", i, "(P') o", i, " {<w", i,
+                             "(X') m U'>}> :- <P' rec {<X' l", i, " U'>}>@db"),
+                      StrCat("V", i))
+            .ValueOrDie());
+  }
+  TslQuery query = ParseTslQuery(
+                       StrCat("<f(P) out yes> :- ", Join(arms, " AND ")), "Q")
+                       .ValueOrDie();
+  MetricRegistry metrics;
+  RewriteOptions options;
+  options.parallelism = 1;
+  options.metrics = &metrics;
+  constexpr int kSearches = 2;
+  for (int i = 0; i < kSearches; ++i) {
+    auto result = RewriteQuery(query, views, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_FALSE(result->rewritings.empty());
+  }
+  for (const char* name :
+       {"rewrite.phase.inputs_us", "rewrite.phase.mappings_us",
+        "rewrite.phase.tester_us", "rewrite.phase.search_overhead_us",
+        "rewrite.verify_us"}) {
+    EXPECT_EQ(metrics.GetHistogram(name)->count(), uint64_t{kSearches})
+        << name;
+  }
+  auto sum = [&metrics](const char* name) {
+    return metrics.GetHistogram(name)->sum();
+  };
+  EXPECT_EQ(sum("rewrite.phase.search_overhead_us") +
+                sum("rewrite.phase.chase_us") +
+                sum("rewrite.phase.compose_us") +
+                sum("rewrite.phase.equiv_us"),
+            sum("rewrite.verify_us"));
+}
+
 TEST(ObsIntegrationTest, ServerCountersStayConsistentUnderLoad) {
   auto mediator = Mediator::Make({SourceDescription{
       "db", {DumpCapability("Dump", "db")}}});

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "equiv/equivalence.h"
 #include "eval/evaluator.h"
 #include "fixtures.h"
@@ -160,6 +162,76 @@ TEST_P(SoundnessPropertyTest, CompositionAgreesWithMaterialization) {
   ASSERT_TRUE(via_composition.ok()) << via_composition.status();
   EXPECT_TRUE(via_view->Equals(*via_composition))
       << "view: " << view.ToString();
+
+  // Multi-condition rewritings over two or three random views, composed
+  // through one shared cache as a rewriting search's worker does. The
+  // condition shapes cover local unifiers, a rule variable meeting a
+  // Skolem term, a path pushed below a copied value, and a tail variable
+  // landing on a head set.
+  std::mt19937_64 rng(GetParam() * 2654435761u + 7);
+  auto pick = [&rng](int n) {
+    return std::uniform_int_distribution<int>(0, n - 1)(rng);
+  };
+  std::vector<TslQuery> views = {rules.View("V1", "db"),
+                                 rules.CopyView("V2", "db")};
+  if (pick(2) == 1) views.push_back(rules.DeepView("V3", "db"));
+  SourceCatalog with_views = catalog_;
+  for (const TslQuery& v : views) {
+    auto db = MaterializeView(v, catalog_);
+    ASSERT_TRUE(db.ok()) << db.status();
+    with_views.Put(std::move(*db));
+  }
+  // Arm i names its object X<x> and its value `value`; arms join through
+  // P, through a shared X<x> or value, and the head exposes X0.
+  auto condition = [&](int i, const std::string& value) -> std::string {
+    const int x = i > 0 && pick(2) == 0 ? i - 1 : i;
+    const int c = pick(kNumLabels);
+    switch (pick(views.size() == 3 ? 8 : 6)) {
+      case 0: return StrCat("<v(P) vout {<w(X", x, ") m ", value, ">}>@V1");
+      case 1: return StrCat("<v(P) vout {<X", x, " m ", value, ">}>@V1");
+      case 2:
+        return StrCat("<v(P) vout {<X", x, " Y", i, " ", value, ">}>@V2");
+      case 3:
+        return StrCat("<v(P) vout {<X", x, " l", c, " ", value, ">}>@V2");
+      case 4:
+        return StrCat("<v(P) vout {<X", x, " Y", i, " {<W", i, " l", c, " ",
+                      value, ">}>}>@V2");
+      case 5: return StrCat("<v(P) vout {<X", x, " Y", i, " {}>}>@V2");
+      case 6:
+        return StrCat("<v(P) vout {<w(X", x, ") mid {<u(W", i, ") leaf ",
+                      value, ">}>}>@V3");
+      default: return StrCat("<v(P) vout {<w(X", x, ") mid S", i, ">}>@V3");
+    }
+  };
+  ComposeCache cache;
+  for (int r = 0; r < 4; ++r) {
+    std::vector<std::string> body;
+    const int conditions = 2 + pick(2);
+    for (int i = 0; i < conditions; ++i) {
+      // Values are fresh, a constant, or joined with the previous arm.
+      const int how = pick(3);
+      std::string value = how == 0   ? StrCat("Z", i)
+                          : how == 1 ? StrCat("v", pick(kNumValues))
+                                     : StrCat("Z", i == 0 ? 0 : i - 1);
+      body.push_back(condition(i, value));
+    }
+    TslQuery rewriting = testing::MustParse(
+        StrCat("<q(P,X0) out yes> :- ", Join(body, " AND ")),
+        StrCat("R", r));
+    auto composed_rw = ComposeWithViews(rewriting, views, &cache);
+    ASSERT_TRUE(composed_rw.ok())
+        << composed_rw.status() << "\n  " << rewriting.ToString();
+    auto over_views = Evaluate(rewriting, with_views, {.answer_name = "ans"});
+    ASSERT_TRUE(over_views.ok()) << over_views.status();
+    auto over_base =
+        EvaluateRuleSet(*composed_rw, catalog_, {.answer_name = "ans"});
+    ASSERT_TRUE(over_base.ok()) << over_base.status();
+    EXPECT_TRUE(over_views->Equals(*over_base))
+        << "rewriting: " << rewriting.ToString()
+        << "\ncomposed:\n" << composed_rw->ToString()
+        << "over views:\n" << over_views->ToString()
+        << "composed over base:\n" << over_base->ToString();
+  }
 }
 
 /// `a` is a sub-database of `b`: every root and every reachable object of
