@@ -26,11 +26,12 @@ namespace tslrw {
 /// the composed rule set) plus a dedupe of byte-identical candidate bodies.
 /// With `workers == 1` each candidate is verified inline and committed
 /// before the next is emitted; no thread pool is built. With more, batches
-/// go to a worker pool, each worker with its own EquivalenceTester clone
-/// and ComposeCache. Outcomes are committed strictly in enumeration order,
-/// so `result` (rewritings, candidates_generated/tested, truncation) and
-/// any returned hard-error Status are byte-identical at every worker count
-/// — and to the plain unmemoized reference in src/testing.
+/// go to a worker pool, each worker with its own ComposeCache; all share
+/// \p tester (EquivalentTo is const). Outcomes are committed strictly in
+/// enumeration order, so `result` (rewritings, candidates_generated/tested,
+/// truncation) and any returned hard-error Status are byte-identical at
+/// every worker count — and to the plain unmemoized reference in
+/// src/testing.
 ///
 /// When `options.metrics` is set, every chase, composition, and \S4 test
 /// that actually runs (not a memo hit) is timed into the

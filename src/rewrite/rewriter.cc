@@ -138,9 +138,12 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   chase_options.constraints = options.constraints;
   // The constraints describe the source data; candidate bodies contain
   // conditions over the views, whose answer objects may reuse source label
-  // spellings (V1's head label is `p`) — exempt them.
-  for (const TslQuery& view : views) {
-    chase_options.constraint_exempt_sources.insert(view.name);
+  // spellings (V1's head label is `p`) — exempt them. The chase reads the
+  // exemptions only when there are constraints.
+  if (options.constraints != nullptr) {
+    for (const TslQuery& view : views) {
+      chase_options.constraint_exempt_sources.insert(view.name);
+    }
   }
   // The fired-constraints sink is wired only while chasing the inputs, on
   // this thread: candidate chases run on worker threads under parallelism,

@@ -1,5 +1,7 @@
 #include "tsl/ast.h"
 
+#include <functional>
+
 #include "common/string_util.h"
 
 namespace tslrw {
@@ -29,6 +31,26 @@ bool operator<(const PatternValue& a, const PatternValue& b) {
   if (a.is_term() != b.is_term()) return a.is_term() < b.is_term();
   if (a.is_term()) return a.term() < b.term();
   return a.members_ < b.members_;
+}
+
+size_t HashPattern(const ObjectPattern& p) {
+  size_t h = p.oid.Hash() * 31 + p.label.Hash();
+  h = h * 31 + static_cast<size_t>(p.step);
+  if (p.value.is_term()) return h * 31 + p.value.term().Hash();
+  h = h * 31 + 0x9e3779b97f4a7c15ull;
+  for (const ObjectPattern& m : p.value.set()) h = h * 31 + HashPattern(m);
+  return h;
+}
+
+size_t HashCondition(const Condition& condition) {
+  return HashPattern(condition.pattern) * 31 +
+         std::hash<std::string>()(condition.source);
+}
+
+size_t HashRule(const TslQuery& rule) {
+  size_t h = HashPattern(rule.head);
+  for (const Condition& c : rule.body) h = h * 31 + HashCondition(c);
+  return h;
 }
 
 std::string ObjectPattern::ToString() const {

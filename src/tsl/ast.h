@@ -1,6 +1,7 @@
 #ifndef TSLRW_TSL_AST_H_
 #define TSLRW_TSL_AST_H_
 
+#include <cstddef>
 #include <optional>
 #include <set>
 #include <string>
@@ -157,6 +158,20 @@ struct TslRuleSet {
   std::string ToString() const;
 
   static TslRuleSet Single(TslQuery q) { return TslRuleSet{{std::move(q)}}; }
+};
+
+/// \brief Structural hashes consistent with `==`: of a pattern, of a
+/// condition, and of a rule (head and body; not the name or the span).
+size_t HashPattern(const ObjectPattern& pattern);
+size_t HashCondition(const Condition& condition);
+size_t HashRule(const TslQuery& rule);
+
+/// \brief HashCondition as a hasher, for unordered containers keyed by
+/// exact conditions.
+struct ConditionHash {
+  size_t operator()(const Condition& condition) const {
+    return HashCondition(condition);
+  }
 };
 
 /// \brief Renders `<oid label value>` patterns, conditions, and rules in the
