@@ -125,10 +125,10 @@ void BM_ComposeStarCandidates(benchmark::State& state) {
   size_t rules = 0;
   size_t entries = 0;
   for (auto _ : state) {
-    ComposeCache cache;
+    ComposeCache cache(views);
     rules = 0;
     for (const TslQuery& candidate : candidates) {
-      auto composed = ComposeWithViews(candidate, views, &cache);
+      auto composed = ComposeWithViews(candidate, &cache);
       if (!composed.ok()) {
         state.SkipWithError(composed.status().ToString().c_str());
         return;

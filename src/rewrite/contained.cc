@@ -77,7 +77,7 @@ Result<ContainedRewritingResult> FindMaximallyContainedRewriting(
   Status failure;
   CandidateEnumerator enumerator(std::move(atoms), q.body.size(),
                                  enum_options);
-  ComposeCache compose_cache;  // every candidate draws on the same views
+  ComposeCache compose_cache(chased_views);  // every candidate draws on them
   size_t counter = 0;
   bool complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {
     TslQuery candidate;
@@ -95,8 +95,7 @@ Result<ContainedRewritingResult> FindMaximallyContainedRewriting(
       return false;
     }
     ++result.candidates_tested;
-    Result<TslRuleSet> composed =
-        ComposeWithViews(*chased, chased_views, &compose_cache);
+    Result<TslRuleSet> composed = ComposeWithViews(*chased, &compose_cache);
     if (!composed.ok()) {
       failure = composed.status();
       return false;

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "equiv/equivalence.h"
@@ -160,6 +161,12 @@ TEST(ComposeTest, CompositionAgreesWithMaterialization) {
       << "composed over base:\n" << over_base->ToString();
 }
 
+// A cache keeps its view list by reference, so it cannot be made over a
+// temporary list.
+static_assert(
+    std::is_constructible_v<ComposeCache, const std::vector<TslQuery>&>);
+static_assert(!std::is_constructible_v<ComposeCache, std::vector<TslQuery>>);
+
 /// Composes every rewriting of \p rewritings twice through one shared
 /// cache (the second round is all memo hits) and checks each result is
 /// equivalent to composing that rewriting on its own.
@@ -168,7 +175,7 @@ void ExpectSharedCacheAgrees(const std::vector<TslQuery>& rewritings,
                              ComposeCache* cache) {
   for (int round = 0; round < 2; ++round) {
     for (const TslQuery& rw : rewritings) {
-      auto shared = ComposeWithViews(rw, views, cache);
+      auto shared = ComposeWithViews(rw, cache);
       ASSERT_TRUE(shared.ok()) << shared.status();
       auto alone = ComposeWithViews(rw, views);
       ASSERT_TRUE(alone.ok()) << alone.status();
@@ -212,7 +219,7 @@ TEST(ComposeTest, SharedCacheComposesEveryStarCover) {
         MustParse(StrCat("<f(P) out yes> :- ", Join(body, " AND ")), "C"));
     for (const Condition& c : covers.back().body) view_conditions.insert(c);
   }
-  ComposeCache cache;
+  ComposeCache cache(views);
   ExpectSharedCacheAgrees(covers, views, &cache);
   EXPECT_EQ(cache.size(), view_conditions.size());
   EXPECT_EQ(cache.size(), size_t{2 * k});
@@ -231,7 +238,7 @@ TEST(ComposeTest, SharedCacheComposesEveryStarCover) {
     with_views.Put(std::move(*db));
   }
   for (const TslQuery& cover : covers) {
-    auto composed = ComposeWithViews(cover, views, &cache);
+    auto composed = ComposeWithViews(cover, &cache);
     ASSERT_TRUE(composed.ok()) << composed.status();
     auto over_views = Evaluate(cover, with_views, {.answer_name = "ans"});
     ASSERT_TRUE(over_views.ok()) << over_views.status();
@@ -255,9 +262,10 @@ TEST(ComposeTest, SharedCacheAgreesOnNonLocalUnifiers) {
       "<f(P,X) stanford yes> :- <g(P) p {<X pr Y>}>@V1 AND "
       "<g(P) p {<h(W) v leland>}>@V1",
       "R");
-  ComposeCache cache;
-  ExpectSharedCacheAgrees({q4n, r}, {v1}, &cache);
-  auto composed = ComposeWithViews(q4n, {v1}, &cache);
+  const std::vector<TslQuery> views = {v1};
+  ComposeCache cache(views);
+  ExpectSharedCacheAgrees({q4n, r}, views, &cache);
+  auto composed = ComposeWithViews(q4n, &cache);
   ASSERT_TRUE(composed.ok()) << composed.status();
   auto eq = AreEquivalent(
       *composed, TslRuleSet::Single(MustParse(testing::kV1oQ4n, "ref")));
@@ -274,7 +282,7 @@ TEST(ComposeTest, SharedCacheAgreesOnNonLocalUnifiers) {
   auto view_db = MaterializeView(v1, catalog);
   ASSERT_TRUE(view_db.ok()) << view_db.status();
   with_view.Put(std::move(*view_db));
-  auto composed_r = ComposeWithViews(r, {v1}, &cache);
+  auto composed_r = ComposeWithViews(r, &cache);
   ASSERT_TRUE(composed_r.ok()) << composed_r.status();
   auto over_view = Evaluate(r, with_view, {.answer_name = "ans"});
   ASSERT_TRUE(over_view.ok()) << over_view.status();
@@ -291,13 +299,12 @@ TEST(ComposeTest, SharedCacheAgreesOnNonLocalUnifiers) {
 TEST(ComposeTest, SharedCacheAgreesOnCopyVariablePush) {
   // Example 3.2: (Q6)'s path continues below the copied Z', which is set
   // bound to the rest of the path; Q8 shares one of Q6's conditions.
-  TslQuery v1 = MustParse(testing::kV1, "V1");
-  ComposeCache cache;
+  const std::vector<TslQuery> views = {MustParse(testing::kV1, "V1")};
+  ComposeCache cache(views);
   ExpectSharedCacheAgrees(
-      {MustParse(testing::kQ6, "Q6"), MustParse(testing::kQ8, "Q8")}, {v1},
+      {MustParse(testing::kQ6, "Q6"), MustParse(testing::kQ8, "Q8")}, views,
       &cache);
-  auto composed = ComposeWithViews(MustParse(testing::kQ6, "Q6"), {v1},
-                                   &cache);
+  auto composed = ComposeWithViews(MustParse(testing::kQ6, "Q6"), &cache);
   ASSERT_TRUE(composed.ok()) << composed.status();
   auto eq = AreEquivalent(*composed,
                           TslRuleSet::Single(MustParse(testing::kQ5, "Q5")));
@@ -319,9 +326,10 @@ TEST(ComposeTest, SharedCacheAgreesOnSetVariableTail) {
       "<f(P) \"Stan-student\" V> :- <g(P) p {<h(U) v stanford>}>@V1 AND "
       "<g(P) p V>@V1",
       "Q");
-  ComposeCache cache;
-  ExpectSharedCacheAgrees({q}, {v1}, &cache);
-  auto composed = ComposeWithViews(q, {v1}, &cache);
+  const std::vector<TslQuery> views = {v1};
+  ComposeCache cache(views);
+  ExpectSharedCacheAgrees({q}, views, &cache);
+  auto composed = ComposeWithViews(q, &cache);
   ASSERT_TRUE(composed.ok()) << composed.status();
   SourceCatalog with_view = catalog;
   auto view_db = MaterializeView(v1, catalog);
@@ -351,10 +359,11 @@ TEST(ComposeTest, SharedCacheAgreesOnBranchyHeads) {
       "Q2");
   TslQuery one = MustParse("<f(P) out yes> :- <v(P) out {<W0 M0 U0>}>@V",
                            "Q1");
-  ComposeCache cache;
-  ExpectSharedCacheAgrees({two, one}, {view}, &cache);
+  const std::vector<TslQuery> views = {view};
+  ComposeCache cache(views);
+  ExpectSharedCacheAgrees({two, one}, views, &cache);
   EXPECT_EQ(cache.size(), 2u);
-  auto composed = ComposeWithViews(two, {view}, &cache);
+  auto composed = ComposeWithViews(two, &cache);
   ASSERT_TRUE(composed.ok()) << composed.status();
   EXPECT_EQ(composed->rules.size(), 9u);
 }
@@ -374,9 +383,10 @@ TEST(ComposeTest, SharedCacheAgreesOnViewsOverViews) {
       "<f(P) out yes> :- <b(P) lvl2 {<bb(X) n u>}>@V2 AND "
       "<a(P) lvl1 {<aa(Y) m w>}>@V1",
       "R");
-  ComposeCache cache;
-  ExpectSharedCacheAgrees({over_v2, mixed}, {v1, v2}, &cache);
-  auto composed = ComposeWithViews(mixed, {v1, v2}, &cache);
+  const std::vector<TslQuery> views = {v1, v2};
+  ComposeCache cache(views);
+  ExpectSharedCacheAgrees({over_v2, mixed}, views, &cache);
+  auto composed = ComposeWithViews(mixed, &cache);
   ASSERT_TRUE(composed.ok()) << composed.status();
   ASSERT_EQ(composed->rules.size(), 1u);
   for (const Condition& c : composed->rules[0].body) {

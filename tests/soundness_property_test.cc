@@ -203,7 +203,7 @@ TEST_P(SoundnessPropertyTest, CompositionAgreesWithMaterialization) {
       default: return StrCat("<v(P) vout {<w(X", x, ") mid S", i, ">}>@V3");
     }
   };
-  ComposeCache cache;
+  ComposeCache cache(views);
   for (int r = 0; r < 4; ++r) {
     std::vector<std::string> body;
     const int conditions = 2 + pick(2);
@@ -218,7 +218,7 @@ TEST_P(SoundnessPropertyTest, CompositionAgreesWithMaterialization) {
     TslQuery rewriting = testing::MustParse(
         StrCat("<q(P,X0) out yes> :- ", Join(body, " AND ")),
         StrCat("R", r));
-    auto composed_rw = ComposeWithViews(rewriting, views, &cache);
+    auto composed_rw = ComposeWithViews(rewriting, &cache);
     ASSERT_TRUE(composed_rw.ok())
         << composed_rw.status() << "\n  " << rewriting.ToString();
     auto over_views = Evaluate(rewriting, with_views, {.answer_name = "ans"});
