@@ -24,7 +24,8 @@ inline TslQuery MustParse(const std::string& text, std::string name = "") {
 }
 
 /// A "star" query: k single-path conditions on one root,
-/// `<f(P) out yes> :- <P rec {<X1 l1 u1>}>@db AND ... AND <P rec {<Xk lk uk>}>@db`.
+/// `<f(P) out yes> :- <P rec {<X1 l1 u1>}>@db AND ... AND
+/// <P rec {<Xk lk uk>}>@db`.
 inline TslQuery MakeStarQuery(int k, const std::string& source = "db") {
   std::vector<std::string> body;
   for (int i = 0; i < k; ++i) {

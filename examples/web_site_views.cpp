@@ -87,7 +87,8 @@ int main() {
   site.Put(Must(MaterializeView(directors_page, catalog)));
   OemDatabase via_site = Must(Evaluate(result.rewritings.front(), site,
                                        EvalOptions{.answer_name = "ans"}));
-  std::printf("\nanswer served from the site:\n%s", via_site.ToString().c_str());
+  std::printf("\nanswer served from the site:\n%s",
+              via_site.ToString().c_str());
 
   // Sanity: identical to querying the data graph directly.
   OemDatabase direct =

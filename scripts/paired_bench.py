@@ -11,9 +11,11 @@ repository at two commits (say, a change and its parent); their
 runs once per build in each of ROUNDS rounds, the two builds back to back
 and in alternating order, each run pinned to CPU with ``taskset`` so both
 sides see the same core, for MIN_TIME seconds per row. For every row the
-script prints the median real time of each side, the median over rounds
-of the per-round ratio NEW/BASE (below 1 is faster), and in how many
-rounds NEW was the faster side.
+script prints the median real time of each side, the interquartile range
+of BASE's times across rounds (the spread a claimed difference between
+the medians must exceed), the median over rounds of the per-round ratio
+NEW/BASE (below 1 is faster), and in how many rounds NEW was the faster
+side.
 
 This is a measuring aid, not a gate: it changes no baseline and exits 0
 whatever the ratios are (2 on a usage or run error).
@@ -107,7 +109,8 @@ def main():
                     samples[row][side].append(us)
         print(f"round {round_index + 1}/{ROUNDS} done", file=sys.stderr)
 
-    print(f"{'row':<40} {'base_us':>12} {'new_us':>12} {'ratio':>7} wins")
+    print(f"{'row':<40} {'base_us':>12} {'base_iqr_us':>12} {'new_us':>12} "
+          f"{'ratio':>7} wins")
     for row, by_side in samples.items():
         base, new = by_side["base"], by_side["new"]
         if len(base) != len(new) or not base:
@@ -115,7 +118,10 @@ def main():
             continue
         ratios = [n / b for b, n in zip(base, new)]
         wins = sum(1 for r in ratios if r < 1.0)
+        quartiles = (statistics.quantiles(base, n=4) if len(base) > 1
+                     else [base[0]] * 3)
         print(f"{row:<40} {statistics.median(base):>12.1f} "
+              f"{quartiles[2] - quartiles[0]:>12.1f} "
               f"{statistics.median(new):>12.1f} "
               f"{statistics.median(ratios):>7.3f} {wins}/{len(ratios)}")
     return 0

@@ -164,9 +164,10 @@ bool TokenCursor::TryConsumeIdent(std::string_view ident) {
 
 Result<Token> TokenCursor::Expect(TokenKind kind) {
   if (Peek().kind != kind) {
-    return ErrorHere(StrCat("expected ", TokenKindToString(kind), ", found ",
-                            TokenKindToString(Peek().kind),
-                            Peek().text.empty() ? "" : StrCat(" '", Peek().text, "'")));
+    return ErrorHere(StrCat(
+        "expected ", TokenKindToString(kind), ", found ",
+        TokenKindToString(Peek().kind),
+        Peek().text.empty() ? "" : StrCat(" '", Peek().text, "'")));
   }
   return Next();
 }

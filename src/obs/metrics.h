@@ -32,7 +32,9 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -123,7 +125,9 @@ class MetricRegistry {
 /// Adds \p delta to the named counter iff \p metrics is non-null.
 inline void CountIf(MetricRegistry* metrics, std::string_view name,
                     uint64_t delta = 1) {
-  if (metrics != nullptr && delta != 0) metrics->GetCounter(name)->Increment(delta);
+  if (metrics != nullptr && delta != 0) {
+    metrics->GetCounter(name)->Increment(delta);
+  }
 }
 
 /// Observes \p sample in the named histogram iff \p metrics is non-null.

@@ -57,7 +57,8 @@ int Tracer::Begin(std::string_view name) {
   open_.push_back(handle);
   if (record_wall_time_) {
     wall_starts_.resize(spans_.size());
-    wall_starts_[static_cast<size_t>(handle)] = std::chrono::steady_clock::now();
+    wall_starts_[static_cast<size_t>(handle)] =
+        std::chrono::steady_clock::now();
   }
   return handle;
 }
@@ -162,7 +163,9 @@ std::string Tracer::ToText() const {
   std::vector<int> depth(spans_.size(), 0);
   for (size_t i = 0; i < spans_.size(); ++i) {
     const TraceSpan& span = spans_[i];
-    if (span.parent >= 0) depth[i] = depth[static_cast<size_t>(span.parent)] + 1;
+    if (span.parent >= 0) {
+      depth[i] = depth[static_cast<size_t>(span.parent)] + 1;
+    }
     for (int d = 0; d < depth[i]; ++d) out << "  ";
     out << "- " << span.name << " [" << span.start_ticks << ".."
         << span.end_ticks << "]";

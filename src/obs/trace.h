@@ -152,10 +152,14 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   void Annotate(std::string_view key, std::string_view value) {
-    if (tracer_ != nullptr && handle_ >= 0) tracer_->Annotate(handle_, key, value);
+    if (tracer_ != nullptr && handle_ >= 0) {
+      tracer_->Annotate(handle_, key, value);
+    }
   }
   void Annotate(std::string_view key, uint64_t value) {
-    if (tracer_ != nullptr && handle_ >= 0) tracer_->Annotate(handle_, key, value);
+    if (tracer_ != nullptr && handle_ >= 0) {
+      tracer_->Annotate(handle_, key, value);
+    }
   }
   void Event(std::string_view text) {
     if (tracer_ != nullptr && handle_ >= 0) tracer_->Event(handle_, text);

@@ -38,8 +38,8 @@ Status OemDatabase::PutAtomic(const Oid& oid, std::string label,
     }
     return Status::OK();
   }
-  objects_.emplace(
-      oid, OemObject{oid, std::move(label), OemValue::Atomic(std::move(datum))});
+  objects_.emplace(oid, OemObject{oid, std::move(label),
+                                  OemValue::Atomic(std::move(datum))});
   return Status::OK();
 }
 

@@ -34,11 +34,20 @@ struct ContainedRewritingResult {
 /// space the \S3.4 algorithm searches (view-head instantiations, bodies of
 /// at most k conditions).
 ///
-/// Candidates are verified through composition + the \S4 one-sided
-/// containment test; accepted rules contained in other accepted rules are
-/// dropped. When `options.require_total` is false, residual query
-/// conditions may appear in rules, which makes equivalence achievable
-/// whenever the \S3.4 algorithm would find a rewriting.
+/// The search runs RewriteQuery's pipeline (docs/PARALLELISM.md): the same
+/// input stage, and the same memoized loop, VerifyCandidates, with the
+/// \S4 one-sided containment test in place of equivalence (an empty
+/// composition is not accepted), rules named `<query>_mc<n>`, and the
+/// cover heuristic and dominance pruning off. Accepted rules contained in
+/// other accepted rules are then dropped. When `options.require_total` is
+/// false, residual query conditions may appear in rules, which makes
+/// equivalence achievable whenever the \S3.4 algorithm would find a
+/// rewriting.
+///
+/// Honors `parallelism` as RewriteQuery does: the result is byte-identical
+/// at every value. `options.view_index` is never used: partial mappings
+/// can use views whose structural signature admits no full containment
+/// mapping, which the index's probe would skip.
 Result<ContainedRewritingResult> FindMaximallyContainedRewriting(
     const TslQuery& query, const std::vector<TslQuery>& views,
     const RewriteOptions& options = {});

@@ -8,16 +8,21 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "rewrite/alpha_ids.h"
 #include "rewrite/compose.h"
+#include "rewrite/view_index.h"
 #include "runtime/thread_pool.h"
 #include "tsl/canonical.h"
+#include "tsl/validate.h"
 
 namespace tslrw {
 
@@ -27,7 +32,7 @@ namespace {
 /// stays a rounding error next to the per-candidate chase + composition;
 /// small enough that a search in the hundreds of candidates still spreads
 /// across a pool. (Searches smaller than one batch lose nothing: their
-/// wall clock is dominated by the first uncached equivalence test.) Inline
+/// wall clock is dominated by the first uncached \S4 test.) Inline
 /// verification uses batches of one instead, see Pipeline.
 constexpr size_t kBatchSize = 32;
 
@@ -58,10 +63,10 @@ struct Slot {
     kChaseUnsat,  // candidate chase unsatisfiable: skipped, never tested
     kChaseError,  // hard chase error: fails before candidates_tested
     kLateError,   // compose/equivalence error: fails after candidates_tested
-    kVerdict,     // tested; `equivalent` holds the \S4 answer
+    kVerdict,     // tested; `passes` holds the \S4 test's answer
   };
   Stage stage = Stage::kVerdict;
-  bool equivalent = false;
+  bool passes = false;
   Status error;
   bool done = false;  // guarded by Pipeline::mu_
 };
@@ -114,7 +119,7 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 
 /// Memo keys are *cheap α-sound* fingerprints, not the full canonical form
 /// (src/tsl/canonical): CanonicalizeQuery costs about as much as the
-/// equivalence test it would save (it is graph canonicalization), which
+/// \S4 test it would save (it is graph canonicalization), which
 /// would cancel the sharing win on the very workloads the memo targets.
 /// Instead each condition contributes its α-key (AlphaKeyOf, exact up to
 /// renaming inside that condition), interned to an id in the search's
@@ -135,7 +140,7 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 /// whole verification outcome (chase-unsatisfiable or the \S4 verdict) on
 /// the candidate rule before any work runs: every candidate shares the one
 /// query head, so α-isomorphic bodies verify identically, and a hit skips
-/// chase, composition, and the equivalence test outright. Its per-atom
+/// chase, composition, and the \S4 test outright. Its per-atom
 /// parts are interned once at pipeline construction, so the per-candidate
 /// key is a sort and a few integer writes. The *verdict* memo
 /// (AlphaIdTable::VerdictKey) catches candidates whose bodies differ
@@ -145,6 +150,14 @@ bool Dominated(const std::vector<std::vector<size_t>>& accepted,
 /// Hard errors are never memoized at either level: an error must re-run so
 /// it surfaces with exactly the bytes an unmemoized verification of that
 /// candidate produces.
+
+/// `<query>_rw` or `<query>_mc`, the prefix every candidate's name extends
+/// with its 1-based emission number.
+std::string NamePrefix(const std::string& query_name, CandidateTest test) {
+  const bool equivalent = test == CandidateTest::kEquivalent;
+  if (query_name.empty()) return equivalent ? "rewriting_rw" : "contained_mc";
+  return query_name + (equivalent ? "_rw" : "_mc");
+}
 
 /// The verification pipeline. With one worker it builds no pool: each
 /// emitted candidate is verified inline as a batch of one and committed
@@ -159,17 +172,16 @@ class Pipeline {
            const std::vector<TslQuery>& chased_views,
            const std::vector<CandidateAtom>& atoms,
            const ChaseOptions& chase_options, const EquivalenceTester& tester,
-           const RewriteOptions& options, size_t workers,
+           CandidateTest test, const RewriteOptions& options, size_t workers,
            RewriteResult* result)
       : views_(chased_views),
         chase_options_(chase_options),
         tester_(tester),
+        test_(test),
         options_(options),
         result_(result),
         head_(chased_query.head),
-        name_prefix_((chased_query.name.empty() ? "rewriting"
-                                                : chased_query.name) +
-                     std::string("_rw")),
+        name_prefix_(NamePrefix(chased_query.name, test)),
         batch_size_(workers > 1 ? kBatchSize : 1),
         max_pending_(workers * batch_size_ * 4) {
     head_part_ = &alpha_ids_.Of(head_);
@@ -306,7 +318,7 @@ class Pipeline {
   /// α-isomorphic candidates.
   struct CandidateOutcome {
     bool unsat = false;
-    bool equivalent = false;
+    bool passes = false;
   };
 
   void InternAtoms(const std::vector<CandidateAtom>& atoms) {
@@ -368,7 +380,7 @@ class Pipeline {
       chase_hits_.fetch_add(1, std::memory_order_relaxed);
     } else {
       slot->stage = Slot::Stage::kVerdict;
-      slot->equivalent = it->second.equivalent;
+      slot->passes = it->second.passes;
       equiv_hits_.fetch_add(1, std::memory_order_relaxed);
     }
     return true;
@@ -410,7 +422,7 @@ class Pipeline {
           break;
         case Slot::Stage::kVerdict:
           ++result_->candidates_tested;
-          if (slot.equivalent) {
+          if (slot.passes) {
             if (options_.prune_dominated) {
               accepted_.push_back(std::move(p.chosen));
             }
@@ -476,8 +488,8 @@ class Pipeline {
     }
   }
 
-  /// Chase + compose + equivalence for one candidate, through the memos.
-  /// The tester is shared: EquivalentTo is const, and its chase options
+  /// Chase + compose + \S4 test for one candidate, through the memos.
+  /// The tester is shared: its tests are const, and its chase options
   /// carry no fired-constraints sink.
   /// Each step that actually runs is timed into its rewrite.phase.*_us
   /// histogram; a memo hit observes nothing. Hard-error Statuses are never
@@ -555,25 +567,25 @@ class Pipeline {
       auto it = verdict_memo_.find(verdict_key);
       if (it != verdict_memo_.end()) {
         equiv_hits_.fetch_add(1, std::memory_order_relaxed);
-        out.equivalent = it->second;
+        out.passes = it->second;
         candidate_memo_.emplace(alpha_key,
-                                CandidateOutcome{false, out.equivalent});
+                                CandidateOutcome{false, out.passes});
         return out;
       }
     }
     start = SteadyClock::now();
-    Result<bool> equivalent = tester_.EquivalentTo(*composed);
+    Result<bool> passes = RunCandidateTest(test_, tester_, *composed);
     ObserveSince(equiv_us_, start, &step_us_);
-    if (!equivalent.ok()) {
+    if (!passes.ok()) {
       out.stage = Slot::Stage::kLateError;
-      out.error = equivalent.status();
+      out.error = passes.status();
       return out;
     }
-    out.equivalent = *equivalent;
+    out.passes = *passes;
     {
       std::lock_guard<std::mutex> lock(memo_mu_);
-      verdict_memo_.emplace(std::move(verdict_key), *equivalent);
-      candidate_memo_.emplace(alpha_key, CandidateOutcome{false, *equivalent});
+      verdict_memo_.emplace(std::move(verdict_key), *passes);
+      candidate_memo_.emplace(alpha_key, CandidateOutcome{false, *passes});
     }
     return out;
   }
@@ -587,6 +599,7 @@ class Pipeline {
   const std::vector<TslQuery>& views_;
   const ChaseOptions& chase_options_;
   const EquivalenceTester& tester_;
+  const CandidateTest test_;
   const RewriteOptions& options_;
   RewriteResult* result_;
   const ObjectPattern head_;
@@ -644,16 +657,90 @@ class Pipeline {
 
 }  // namespace
 
+size_t ResolveParallelism(size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+Result<ChasedInputs> ChaseInputs(const TslQuery& query,
+                                 const std::vector<TslQuery>& views,
+                                 const ChaseOptions& chase_options,
+                                 const ViewIndex* index,
+                                 ViewProbeOutcome* outcome) {
+  if (UsesRegexSteps(query)) {
+    return Status::IllFormedQuery(
+        "rewriting queries with regular path expressions (l+, **) is the "
+        "paper's future work (\\S7); only plain TSL bodies are supported");
+  }
+  if (index == nullptr) {
+    for (const TslQuery& view : views) {
+      if (UsesRegexSteps(view)) {
+        return Status::IllFormedQuery(
+            StrCat("view ", view.name,
+                   " uses regular path expressions; rewriting over such "
+                   "views is unsupported (\\S7 future work)"));
+      }
+    }
+  }
+  ChasedInputs out;
+  Result<TslQuery> chased_query = ChaseQuery(query, chase_options);
+  if (!chased_query.ok()) {
+    if (!chased_query.status().IsUnsatisfiable()) {
+      return chased_query.status();
+    }
+    out.query_unsatisfiable = true;
+    return out;
+  }
+  out.query = std::move(chased_query).value();
+  if (index != nullptr) {
+    TSLRW_ASSIGN_OR_RETURN(
+        std::optional<std::vector<TslQuery>> probed,
+        index->ChasedViewsFor(out.query, views, chase_options, outcome));
+    if (!probed.has_value()) {
+      return Status::Internal(
+          "view index declined a view set it claimed to cover");
+    }
+    out.views = std::move(*probed);
+    return out;
+  }
+  for (const TslQuery& view : views) {
+    TSLRW_RETURN_NOT_OK(ValidateQuery(view));
+    if (view.name.empty()) {
+      return Status::InvalidArgument(
+          "views must be named; the name is the rewritten query's source");
+    }
+    Result<TslQuery> cv = ChaseQuery(view, chase_options);
+    if (!cv.ok()) {
+      if (cv.status().IsUnsatisfiable()) continue;  // view is always empty
+      return cv.status();
+    }
+    out.views.push_back(std::move(cv).value());
+  }
+  return out;
+}
+
+Result<bool> RunCandidateTest(CandidateTest test,
+                              const EquivalenceTester& tester,
+                              const TslRuleSet& expansion) {
+  if (test == CandidateTest::kEquivalent) {
+    return tester.EquivalentTo(expansion);
+  }
+  if (expansion.rules.empty()) return false;
+  return tester.ContainedInReference(expansion);
+}
+
 Status VerifyCandidates(const TslQuery& chased_query,
                         const std::vector<TslQuery>& chased_views,
                         const ChaseOptions& chase_options,
                         const EquivalenceTester& tester,
+                        CandidateTest test,
                         const CandidateEnumerator& enumerator,
                         const RewriteOptions& options, size_t workers,
                         RewriteResult* result, bool* complete,
                         uint64_t* step_us) {
   Pipeline pipeline(chased_query, chased_views, enumerator.atoms(),
-                    chase_options, tester, options, workers, result);
+                    chase_options, tester, test, options, workers, result);
   *complete = enumerator.Enumerate([&](const std::vector<size_t>& chosen) {
     return pipeline.OnCandidate(enumerator.atoms(), chosen);
   });

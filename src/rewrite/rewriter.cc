@@ -1,7 +1,6 @@
 #include "rewrite/rewriter.h"
 
 #include <chrono>
-#include <thread>
 
 #include "common/string_util.h"
 #include "equiv/equivalence.h"
@@ -17,13 +16,6 @@ namespace tslrw {
 
 namespace {
 
-/// Resolves RewriteOptions::parallelism: 0 means hardware concurrency.
-size_t ResolveParallelism(size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
 using SteadyClock = std::chrono::steady_clock;
 
 uint64_t ElapsedUs(SteadyClock::time_point start) {
@@ -31,97 +23,6 @@ uint64_t ElapsedUs(SteadyClock::time_point start) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           SteadyClock::now() - start)
           .count());
-}
-
-/// Chases the query and every view; NotOk on hard errors. An unsatisfiable
-/// query is surfaced as an empty optional; unsatisfiable views (always
-/// empty) are silently dropped.
-struct ChasedInputs {
-  TslQuery query;
-  std::vector<TslQuery> views;
-  bool query_unsatisfiable = false;
-};
-
-Result<ChasedInputs> ChaseInputs(const TslQuery& query,
-                                 const std::vector<TslQuery>& views,
-                                 const ChaseOptions& chase_options) {
-  if (UsesRegexSteps(query)) {
-    return Status::IllFormedQuery(
-        "rewriting queries with regular path expressions (l+, **) is the "
-        "paper's future work (\\S7); only plain TSL bodies are supported");
-  }
-  for (const TslQuery& view : views) {
-    if (UsesRegexSteps(view)) {
-      return Status::IllFormedQuery(
-          StrCat("view ", view.name,
-                 " uses regular path expressions; rewriting over such views "
-                 "is unsupported (\\S7 future work)"));
-    }
-  }
-  ChasedInputs out;
-  Result<TslQuery> chased_query = ChaseQuery(query, chase_options);
-  if (!chased_query.ok()) {
-    if (!chased_query.status().IsUnsatisfiable()) {
-      return chased_query.status();
-    }
-    out.query_unsatisfiable = true;
-    return out;
-  }
-  out.query = std::move(chased_query).value();
-  for (const TslQuery& view : views) {
-    TSLRW_RETURN_NOT_OK(ValidateQuery(view));
-    if (view.name.empty()) {
-      return Status::InvalidArgument(
-          "views must be named; the name is the rewritten query's source");
-    }
-    Result<TslQuery> cv = ChaseQuery(view, chase_options);
-    if (!cv.ok()) {
-      if (cv.status().IsUnsatisfiable()) continue;  // view is always empty
-      return cv.status();
-    }
-    out.views.push_back(std::move(cv).value());
-  }
-  return out;
-}
-
-/// The indexed replacement for ChaseInputs, taken when options.view_index
-/// covers \p views: the query is chased as usual, but the per-view work is
-/// answered from the index — stored chase outcomes for views whose
-/// structural signature admits a containment mapping into the chased
-/// query, nothing for views the signature rules out. A covered view set
-/// has no regex, unnamed, or invalid views (the index declines one), so
-/// the full scan's per-view checks cannot fire and skipping them is
-/// unobservable; the result is byte-identical by the signature soundness
-/// argument in docs/CATALOG.md.
-Result<ChasedInputs> ChaseInputsIndexed(const TslQuery& query,
-                                        const std::vector<TslQuery>& views,
-                                        const ChaseOptions& chase_options,
-                                        const ViewIndex& index,
-                                        ViewProbeOutcome* outcome) {
-  if (UsesRegexSteps(query)) {
-    return Status::IllFormedQuery(
-        "rewriting queries with regular path expressions (l+, **) is the "
-        "paper's future work (\\S7); only plain TSL bodies are supported");
-  }
-  ChasedInputs out;
-  Result<TslQuery> chased_query = ChaseQuery(query, chase_options);
-  if (!chased_query.ok()) {
-    if (!chased_query.status().IsUnsatisfiable()) {
-      return chased_query.status();
-    }
-    out.query_unsatisfiable = true;
-    return out;
-  }
-  out.query = std::move(chased_query).value();
-  TSLRW_ASSIGN_OR_RETURN(
-      std::optional<std::vector<TslQuery>> probed,
-      index.ChasedViewsFor(out.query, views, chase_options, outcome));
-  if (!probed.has_value()) {
-    return Status::Internal(
-        "view index declined a view set it claimed to cover");
-  }
-  out.views = std::move(*probed);
-  return out;
 }
 
 }  // namespace
@@ -155,11 +56,11 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   const bool indexed =
       options.view_index != nullptr && options.view_index->CoversViews(views);
   ViewProbeOutcome probe;
-  ChasedInputs inputs;
+  TSLRW_ASSIGN_OR_RETURN(
+      ChasedInputs inputs,
+      ChaseInputs(query, views, chase_options,
+                  indexed ? options.view_index : nullptr, &probe));
   if (indexed) {
-    TSLRW_ASSIGN_OR_RETURN(
-        inputs, ChaseInputsIndexed(query, views, chase_options,
-                                   *options.view_index, &probe));
     CountIf(options.metrics, "catalog.index_probes");
     if (options.metrics != nullptr) {
       options.metrics->GetCounter("catalog.index_views_admitted")
@@ -169,12 +70,9 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
     }
     chase_span.Annotate("index_probe", "hit");
     chase_span.Annotate("index_skipped", static_cast<uint64_t>(probe.skipped));
-  } else {
-    if (options.view_index != nullptr) {
-      CountIf(options.metrics, "catalog.index_misses");
-      chase_span.Annotate("index_probe", "miss");
-    }
-    TSLRW_ASSIGN_OR_RETURN(inputs, ChaseInputs(query, views, chase_options));
+  } else if (options.view_index != nullptr) {
+    CountIf(options.metrics, "catalog.index_misses");
+    chase_span.Annotate("index_probe", "miss");
   }
   chase_span.Annotate("live_views", static_cast<uint64_t>(inputs.views.size()));
   chase_span.EndNow();
@@ -200,8 +98,10 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   for (const CandidateAtom& atom : atoms) {
     if (atom.is_view) result.views_touched.insert(atom.condition.source);
   }
-  mappings_span.Annotate("mappings", static_cast<uint64_t>(result.mappings_found));
-  mappings_span.Annotate("candidate_atoms", static_cast<uint64_t>(atoms.size()));
+  mappings_span.Annotate("mappings",
+                         static_cast<uint64_t>(result.mappings_found));
+  mappings_span.Annotate("candidate_atoms",
+                         static_cast<uint64_t>(atoms.size()));
   mappings_span.EndNow();
   ObserveIf(options.metrics, "rewrite.phase.mappings_us",
             ElapsedUs(mappings_start));
@@ -222,8 +122,8 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   bool complete = true;
   uint64_t step_us = 0;
   const Status failure = VerifyCandidates(
-      q, inputs.views, chase_options, tester, enumerator, options, workers,
-      &result, &complete, &step_us);
+      q, inputs.views, chase_options, tester, CandidateTest::kEquivalent,
+      enumerator, options, workers, &result, &complete, &step_us);
   result.verify_wall_ticks = ElapsedUs(verify_start);
   if (!failure.ok()) {
     CountIf(options.metrics, "rewrite.errors");
@@ -237,7 +137,8 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
                        static_cast<uint64_t>(result.candidates_generated));
   search_span.Annotate("candidates_tested",
                        static_cast<uint64_t>(result.candidates_tested));
-  search_span.Annotate("rewritings", static_cast<uint64_t>(result.rewritings.size()));
+  search_span.Annotate("rewritings",
+                       static_cast<uint64_t>(result.rewritings.size()));
   search_span.Annotate("truncated", result.truncated ? "true" : "false");
   search_span.EndNow();
   if (options.metrics != nullptr) {

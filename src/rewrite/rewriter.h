@@ -33,7 +33,8 @@ struct RewriteOptions {
   /// signature admits a containment mapping into the query; the result
   /// stays byte-identical to the full scan (see docs/CATALOG.md). When it
   /// does not (live-view subsets during failover replans), the full scan
-  /// runs.
+  /// runs. FindMaximallyContainedRewriting ignores it: its partial
+  /// mappings can use views the signature rules out.
   const ViewIndex* view_index = nullptr;
 
   /// The \S3.4 heuristic: only construct candidates whose view
@@ -72,7 +73,8 @@ struct RewriteOptions {
   bool strict_limits = false;
 
   /// Worker threads for candidate verification (chase + compose + \S4
-  /// equivalence test). `0` means hardware concurrency. Every value runs
+  /// test), in RewriteQuery and FindMaximallyContainedRewriting alike.
+  /// `0` means hardware concurrency. Every value runs
   /// the same memoized pipeline of docs/PARALLELISM.md; this knob only
   /// chooses where verification runs: `1` (the default) verifies each
   /// candidate inline on the calling thread (no worker pool), any resolved

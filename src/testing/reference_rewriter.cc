@@ -18,9 +18,11 @@ namespace {
 /// Rejects regex steps, then chases the query and every view. Unsatisfiable
 /// views are dropped (always empty); an unsatisfiable query is flagged on
 /// \p result and leaves \p chased_views empty.
-Status ChaseInputs(const TslQuery& query, const std::vector<TslQuery>& views,
-                   const ChaseOptions& chase_options, RewriteResult* result,
-                   std::vector<TslQuery>* chased_views) {
+Status ChasePlainInputs(const TslQuery& query,
+                        const std::vector<TslQuery>& views,
+                        const ChaseOptions& chase_options,
+                        RewriteResult* result,
+                        std::vector<TslQuery>* chased_views) {
   if (UsesRegexSteps(query)) {
     return Status::IllFormedQuery(
         "rewriting queries with regular path expressions (l+, **) is the "
@@ -59,29 +61,38 @@ Status ChaseInputs(const TslQuery& query, const std::vector<TslQuery>& views,
   return Status::OK();
 }
 
+/// The chase options of a search over \p views: view answers may reuse
+/// source label spellings, which the source constraints do not describe.
+ChaseOptions SearchChaseOptions(const std::vector<TslQuery>& views,
+                                const RewriteOptions& options) {
+  ChaseOptions chase_options;
+  chase_options.constraints = options.constraints;
+  for (const TslQuery& view : views) {
+    chase_options.constraint_exempt_sources.insert(view.name);
+  }
+  return chase_options;
+}
+
 }  // namespace
 
 Result<RewriteResult> ReferenceRewrite(const TslQuery& query,
                                        const std::vector<TslQuery>& views,
-                                       const RewriteOptions& options) {
+                                       const RewriteOptions& options,
+                                       CandidateTest test) {
   TSLRW_RETURN_NOT_OK(ValidateQuery(query));
   RewriteResult result;
-  ChaseOptions chase_options;
-  chase_options.constraints = options.constraints;
-  // View answers may reuse source label spellings; the source constraints
-  // do not describe them.
-  for (const TslQuery& view : views) {
-    chase_options.constraint_exempt_sources.insert(view.name);
-  }
+  const ChaseOptions chase_options = SearchChaseOptions(views, options);
   std::vector<TslQuery> chased_views;
   TSLRW_RETURN_NOT_OK(
-      ChaseInputs(query, views, chase_options, &result, &chased_views));
+      ChasePlainInputs(query, views, chase_options, &result, &chased_views));
   if (result.query_unsatisfiable) return result;
   const TslQuery& q = result.chased_query;
 
   TSLRW_ASSIGN_OR_RETURN(
       std::vector<CandidateAtom> atoms,
-      BuildCandidateAtoms(q, chased_views, &result.mappings_found));
+      BuildCandidateAtoms(q, chased_views, &result.mappings_found,
+                          /*allow_partial_mappings=*/test ==
+                              CandidateTest::kContained));
   for (const CandidateAtom& atom : atoms) {
     if (atom.is_view) result.views_touched.insert(atom.condition.source);
   }
@@ -105,8 +116,11 @@ Result<RewriteResult> ReferenceRewrite(const TslQuery& query,
           }
         }
         TslQuery candidate;
-        candidate.name = StrCat(q.name.empty() ? "rewriting" : q.name, "_rw",
-                                result.candidates_generated);
+        const bool equivalence = test == CandidateTest::kEquivalent;
+        candidate.name =
+            StrCat(q.name.empty() ? (equivalence ? "rewriting" : "contained")
+                                  : q.name,
+                   equivalence ? "_rw" : "_mc", result.candidates_generated);
         candidate.head = q.head;  // Lemma 5.4
         for (size_t i : chosen) {
           candidate.body.push_back(enumerator.atoms()[i].condition);
@@ -125,12 +139,12 @@ Result<RewriteResult> ReferenceRewrite(const TslQuery& query,
           failure = composed.status();
           return false;
         }
-        Result<bool> equivalent = tester.EquivalentTo(*composed);
-        if (!equivalent.ok()) {
-          failure = equivalent.status();
+        Result<bool> passes = RunCandidateTest(test, tester, *composed);
+        if (!passes.ok()) {
+          failure = passes.status();
           return false;
         }
-        if (*equivalent) {
+        if (*passes) {
           accepted.push_back(chosen);
           result.rewritings.push_back(std::move(candidate));
         }
@@ -144,6 +158,73 @@ Result<RewriteResult> ReferenceRewrite(const TslQuery& query,
                " candidate(s) (max_candidates=", options.max_candidates,
                options.should_stop ? ", or the budget hook fired" : "",
                "); rewritings may have been missed"));
+  }
+  return result;
+}
+
+Result<ContainedRewritingResult> ReferenceContainedRewrite(
+    const TslQuery& query, const std::vector<TslQuery>& views,
+    const RewriteOptions& options) {
+  RewriteOptions search = options;
+  search.use_cover_heuristic = false;
+  search.prune_dominated = false;
+  search.strict_limits = false;
+  TSLRW_ASSIGN_OR_RETURN(
+      RewriteResult found,
+      ReferenceRewrite(query, views, search, CandidateTest::kContained));
+  ContainedRewritingResult result;
+  if (found.query_unsatisfiable) {
+    result.equivalent = true;
+    return result;
+  }
+  result.candidates_tested = found.candidates_tested;
+  result.truncated = found.truncated;
+  if (result.truncated && options.strict_limits) {
+    return Status::ResourceExhausted(
+        StrCat("contained-rewriting search stopped after ",
+               result.candidates_tested,
+               " tested candidate(s); the union may not be maximal"));
+  }
+  const ChaseOptions chase_options = SearchChaseOptions(views, options);
+  std::vector<TslQuery> chased_views;
+  RewriteResult inputs;
+  TSLRW_RETURN_NOT_OK(
+      ChasePlainInputs(query, views, chase_options, &inputs, &chased_views));
+  std::vector<TslRuleSet> expansions;
+  for (const TslQuery& rule : found.rewritings) {
+    TSLRW_ASSIGN_OR_RETURN(TslQuery chased, ChaseQuery(rule, chase_options));
+    TSLRW_ASSIGN_OR_RETURN(TslRuleSet expansion,
+                           ComposeWithViews(chased, chased_views));
+    expansions.push_back(std::move(expansion));
+  }
+  // Prune rules whose expansion is contained in another accepted rule's
+  // expansion (keep the first of mutually-equivalent pairs).
+  std::vector<bool> dead(expansions.size(), false);
+  for (size_t i = 0; i < expansions.size(); ++i) {
+    for (size_t j = 0; j < expansions.size() && !dead[i]; ++j) {
+      if (i == j || dead[j]) continue;
+      TSLRW_ASSIGN_OR_RETURN(
+          bool sub, IsContainedIn(expansions[i], expansions[j], chase_options));
+      if (!sub) continue;
+      TSLRW_ASSIGN_OR_RETURN(
+          bool super,
+          IsContainedIn(expansions[j], expansions[i], chase_options));
+      if (!super || j < i) dead[i] = true;
+    }
+  }
+  TslRuleSet union_composed;
+  for (size_t i = 0; i < expansions.size(); ++i) {
+    if (dead[i]) continue;
+    result.rewriting.rules.push_back(found.rewritings[i]);
+    for (const TslQuery& rule : expansions[i].rules) {
+      union_composed.rules.push_back(rule);
+    }
+  }
+  if (!union_composed.rules.empty()) {
+    TSLRW_ASSIGN_OR_RETURN(
+        result.equivalent,
+        IsContainedIn(TslRuleSet::Single(found.chased_query), union_composed,
+                      chase_options));
   }
   return result;
 }

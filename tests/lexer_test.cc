@@ -69,7 +69,9 @@ TEST(LexerTest, DtdTokens) {
   EXPECT_EQ((*tokens)[2].text, "ELEMENT");
   // '*' and '?' are individual tokens.
   bool has_star = false;
-  for (const Token& t : *tokens) has_star = has_star || t.kind == TokenKind::kStar;
+  for (const Token& t : *tokens) {
+    has_star = has_star || t.kind == TokenKind::kStar;
+  }
   EXPECT_TRUE(has_star);
 }
 
