@@ -8,7 +8,7 @@
 // the practical case (constant labels, one unifier each) staying linear.
 // The star-candidates family is a rewriting search's composition load:
 // every cover of a k-arm star by per-arm views and a catch-all, composed
-// with one shared ComposeCache, as a search's verification worker does.
+// with one shared ComposeCache, as a search's verification loop does.
 
 #include <benchmark/benchmark.h>
 

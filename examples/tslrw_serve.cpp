@@ -5,8 +5,7 @@
 // "stream of client queries" deployment of \S1 Fig. 2 as a runnable
 // program:
 //
-//   tslrw_serve [clients N] [threads N] [requests N] [queue N] [par N]
-//               [faults]
+//   tslrw_serve [clients N] [threads N] [requests N] [queue N] [faults]
 //
 // Exit code 0 means every admitted request completed; admission-control
 // rejections are expected under overload and reported, not fatal.
@@ -53,7 +52,6 @@ int main(int argc, char** argv) {
   size_t threads = 4;
   size_t requests = 200;  // per client
   size_t queue = 256;
-  size_t par = 1;  // rewrite parallelism; 0 = hardware concurrency
   bool faults = false;
   for (int i = 1; i < argc; ++i) {
     auto number = [&](const char* flag) -> size_t {
@@ -71,14 +69,12 @@ int main(int argc, char** argv) {
       requests = number("requests");
     } else if (std::strcmp(argv[i], "queue") == 0) {
       queue = number("queue");
-    } else if (std::strcmp(argv[i], "par") == 0) {
-      par = number("par");
     } else if (std::strcmp(argv[i], "faults") == 0) {
       faults = true;
     } else {
       std::fprintf(stderr,
                    "usage: tslrw_serve [clients N] [threads N] "
-                   "[requests N] [queue N] [par N] [faults]\n");
+                   "[requests N] [queue N] [faults]\n");
       return 2;
     }
   }
@@ -108,7 +104,6 @@ int main(int argc, char** argv) {
   options.queue_capacity = queue;
   options.retry.max_attempts = 3;
   options.retry.initial_backoff_ticks = 1;
-  options.rewrite_parallelism = par;
   MetricRegistry metrics;  // outlives the server (workers write into it)
   options.metrics = &metrics;
   WrapperFactory factory = nullptr;

@@ -15,9 +15,10 @@ Excluded from the gate:
   - benchmarks whose baseline time is below ``--min-us`` (timer noise),
   - multi-worker parallel sweeps (``--skip`` regex, default
     ``Parallel.*/(2|4|8)$``): their wall clock depends on worker
-    scheduling and host core count, which CI does not control. The
-    ``parallelism=1`` rows of the same sweeps stay gated — they are the
-    single-thread (inline verification) path this script protects.
+    scheduling and host core count, which CI does not control. No
+    current benchmark emits such rows: candidate verification has one
+    inline path, and its ``BM_RewriteParallelCover{On,Off}/1`` rows stay
+    gated.
 
 Overhead mode::
 

@@ -21,15 +21,13 @@ void PlanSearchStats::Add(const PlanSearchStats& other) {
   candidates_tested += other.candidates_tested;
   chase_cache_hits += other.chase_cache_hits;
   equiv_cache_hits += other.equiv_cache_hits;
-  batches_dispatched += other.batches_dispatched;
   verify_wall_ticks += other.verify_wall_ticks;
 }
 
 std::string PlanSearchStats::ToString() const {
   return StrCat(candidates_generated, " candidate(s), ", candidates_tested,
                 " tested, ", chase_cache_hits, " chase / ", equiv_cache_hits,
-                " equiv cache hit(s), ", batches_dispatched, " batch(es), ",
-                verify_wall_ticks, "us verifying");
+                " equiv cache hit(s), ", verify_wall_ticks, "us verifying");
 }
 
 FetchRecord* ExecutionReport::RecordFor(const std::string& source,

@@ -50,23 +50,22 @@ struct FetchRecord {
 
 /// \brief Counters from the rewrite search(es) behind an answer's plan
 /// list: how large the candidate space was and how much per-candidate work
-/// the parallel verification pipeline shared (RewriteResult's diagnostics,
-/// summed over the initial search and any failover re-plan). The cache-hit
-/// and wall-tick fields depend on worker scheduling — report them, but do
-/// not assert exact values in tests.
+/// the verification loop's memos shared (RewriteResult's diagnostics,
+/// summed over the initial search and any failover re-plan). Only
+/// `verify_wall_ticks` varies from run to run — report it, but do not
+/// assert its value in tests.
 struct PlanSearchStats {
   size_t candidates_generated = 0;
   size_t candidates_tested = 0;
   size_t chase_cache_hits = 0;
   size_t equiv_cache_hits = 0;
-  size_t batches_dispatched = 0;
   uint64_t verify_wall_ticks = 0;
 
   void Add(const PlanSearchStats& other);
 
   /// One-line operator rendering, e.g.
-  /// `31 candidate(s), 31 tested, 0 chase / 30 equiv cache hit(s), 8
-  /// batch(es), 1234us verifying`.
+  /// `31 candidate(s), 31 tested, 0 chase / 30 equiv cache hit(s), 1234us
+  /// verifying`.
   std::string ToString() const;
 };
 

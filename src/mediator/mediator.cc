@@ -270,7 +270,6 @@ Result<MediatorPlanSet> Mediator::PlanOverViews(
   set.search.candidates_tested = rewrites.candidates_tested;
   set.search.chase_cache_hits = rewrites.chase_cache_hits;
   set.search.equiv_cache_hits = rewrites.equiv_cache_hits;
-  set.search.batches_dispatched = rewrites.batches_dispatched;
   set.search.verify_wall_ticks = rewrites.verify_wall_ticks;
   // Dependency footprint for the maintenance layer (maint/footprint.h):
   // which views the search consulted and what the query itself referenced.
@@ -314,14 +313,12 @@ Result<MediatorPlanSet> Mediator::PlanOverViews(
 }
 
 Result<MediatorPlanSet> Mediator::Plan(const TslQuery& query,
-                                       size_t rewrite_parallelism,
-                                       Tracer* tracer,
+                                       size_t /*ignored*/, Tracer* tracer,
                                        MetricRegistry* metrics,
                                        const VirtualClock* deadline_clock,
                                        uint64_t deadline_ticks) const {
   RewriteOptions options;
   options.constraints = constraints_;
-  options.parallelism = rewrite_parallelism;
   options.tracer = tracer;
   options.metrics = metrics;
   options.view_index = view_index_.get();
@@ -706,7 +703,6 @@ RewriteOptions Mediator::PlanningOptions(const ExecutionPolicy& policy,
   RewriteOptions options;
   options.constraints = constraints_;
   options.strict_limits = policy.strict;
-  options.parallelism = policy.rewrite_parallelism;
   options.tracer = policy.tracer;
   options.metrics = policy.metrics;
   // The index declines any view set it was not built over (CoversViews),

@@ -90,10 +90,9 @@ struct ExecutionPolicy {
   /// Fail with ResourceExhausted when the plan search is truncated instead
   /// of continuing with the plans found so far.
   bool strict = false;
-  /// Worker threads for candidate verification inside every plan search
-  /// (RewriteOptions::parallelism): 1 (the default) = inline on the
-  /// planning thread, 0 = hardware concurrency. Plans are byte-identical
-  /// either way.
+  /// Ignored: plan searches verify every candidate inline on the planning
+  /// thread. Kept only because perfbench/perfbench.cc sets it; the next
+  /// revision of the benchmark drops that line and this field.
   size_t rewrite_parallelism = 1;
   /// Optional span tree for this execution (docs/OBSERVABILITY.md): plan
   /// search, per-plan attempts, fetch retries/backoffs, failover and
@@ -178,9 +177,9 @@ class Mediator {
   /// bound variable of each used capability is instantiated to a constant
   /// by the rewriting (the mediator can then fill the `$X` slot).
   ///
-  /// \param rewrite_parallelism verification workers for the candidate
-  ///        search (RewriteOptions::parallelism semantics); the plan list
-  ///        is byte-identical for every value.
+  /// \param rewrite_parallelism ignored; kept only because
+  ///        perfbench/perfbench.cc passes it, and deleted with the next
+  ///        revision of the benchmark.
   /// \param tracer / \param metrics optional observability sinks for the
   ///        underlying rewrite search (may be null).
   /// \param deadline_clock / \param deadline_ticks optional absolute tick

@@ -10,16 +10,9 @@ namespace tslrw {
 template <typename T>
 const AlphaIdTable::Part& AlphaIdTable::Intern(Table<T>& table,
                                                const T& part) {
-  const Probe<T> probe{&part, table.hash_function()(part)};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = table.find(probe);
-    if (it != table.end()) return it->second;
-  }
-  AlphaKey alpha = AlphaKeyOf(part);
-  std::lock_guard<std::mutex> lock(mu_);
   auto [it, fresh] = table.try_emplace(part);
-  if (!fresh) return it->second;  // another worker made it meanwhile
+  if (!fresh) return it->second;
+  AlphaKey alpha = AlphaKeyOf(part);
   Part& entry = it->second;
   entry.exact = static_cast<uint32_t>(table.size() - 1);
   entry.alpha =

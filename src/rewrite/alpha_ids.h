@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,10 +21,7 @@ namespace tslrw {
 /// injective up to renaming, so equal α-ids mean α-equal parts. Each exact
 /// part is rendered once: a search's candidates and composed rules are
 /// built from the same few atoms and resolvents, so later meetings only
-/// hash it. The memos are shared by every worker of a search, so the table
-/// is too: it takes a lock, held only to find or insert an entry (hashing
-/// and rendering happen outside it). Ids are comparable only within one
-/// table.
+/// hash it. Ids are comparable only within one table.
 class AlphaIdTable {
  public:
   /// What the table knows of one exact condition (or head).
@@ -35,8 +31,8 @@ class AlphaIdTable {
     std::vector<uint32_t> vars;  // distinct variables' ids, α-key order
   };
 
-  /// The entry of \p condition (or \p head), made on first use.
-  /// Thread-safe; the reference lives as long as the table.
+  /// The entry of \p condition (or \p head), made on first use. The
+  /// reference lives as long as the table.
   const Part& Of(const Condition& condition);
   const Part& Of(const ObjectPattern& head);
 
@@ -57,46 +53,23 @@ class AlphaIdTable {
   /// sorted and concatenated behind their lengths. Rule names are left
   /// out, so equal keys imply the rule sets are equal up to renaming each
   /// rule's variables and reordering bodies and rules, and get one \S4
-  /// verdict. Thread-safe.
+  /// verdict.
   std::vector<uint32_t> VerdictKey(const TslRuleSet& rules);
 
  private:
-  /// A lookup key carrying its hash, computed before the lock is taken.
-  template <typename T>
-  struct Probe {
-    const T* value;
-    size_t hash;
-  };
   struct PartHash {
-    using is_transparent = void;
     size_t operator()(const Condition& c) const { return HashCondition(c); }
     size_t operator()(const ObjectPattern& p) const { return HashPattern(p); }
-    template <typename T>
-    size_t operator()(const Probe<T>& probe) const { return probe.hash; }
-  };
-  struct PartEq {
-    using is_transparent = void;
-    template <typename T>
-    bool operator()(const T& a, const T& b) const { return a == b; }
-    template <typename T>
-    bool operator()(const Probe<T>& a, const T& b) const {
-      return *a.value == b;
-    }
-    template <typename T>
-    bool operator()(const T& a, const Probe<T>& b) const {
-      return a == *b.value;
-    }
   };
   template <typename T>
-  using Table = std::unordered_map<T, Part, PartHash, PartEq>;
+  using Table = std::unordered_map<T, Part, PartHash>;
 
   /// The entry of \p part in \p table, made on first use.
   template <typename T>
   const Part& Intern(Table<T>& table, const T& part);
 
-  // All guarded by mu_. Entries are never changed or erased, and
-  // unordered_map nodes stay put, so a Part may be read without the lock.
-  std::mutex mu_;
+  // Entries are never changed or erased, and unordered_map nodes stay
+  // put, so a returned Part stays valid.
   std::unordered_map<std::string, uint32_t> alpha_ids_;
   std::unordered_map<Term, uint32_t, TermHash> var_ids_;
   Table<ObjectPattern> heads_;

@@ -92,7 +92,7 @@ Result<TslRuleSet> ComposeWithViews(const TslRuleSet& rewriting,
 /// first use, so a search builds that index once, not once per candidate,
 /// and no call can pair the cache with another list.
 ///
-/// Not thread-safe: the parallel rewriting pipeline keeps one per worker.
+/// Not thread-safe: the verification loop keeps one per search.
 class ComposeCache {
  public:
   /// A cache over \p views, which must outlive it.

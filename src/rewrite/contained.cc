@@ -53,8 +53,7 @@ Result<ContainedRewritingResult> FindMaximallyContainedRewriting(
   uint64_t step_us = 0;
   TSLRW_RETURN_NOT_OK(VerifyCandidates(
       q, inputs.views, chase_options, tester, CandidateTest::kContained,
-      enumerator, search_options, ResolveParallelism(options.parallelism),
-      &found, &complete, &step_us));
+      enumerator, search_options, &found, &complete, &step_us));
   result.candidates_tested = found.candidates_tested;
   result.truncated = !complete;
   if (result.truncated && options.strict_limits) {

@@ -44,10 +44,9 @@ struct ContainedRewritingResult {
 /// equivalence achievable whenever the \S3.4 algorithm would find a
 /// rewriting.
 ///
-/// Honors `parallelism` as RewriteQuery does: the result is byte-identical
-/// at every value. `options.view_index` is never used: partial mappings
-/// can use views whose structural signature admits no full containment
-/// mapping, which the index's probe would skip.
+/// `options.view_index` is never used: partial mappings can use views
+/// whose structural signature admits no full containment mapping, which
+/// the index's probe would skip.
 Result<ContainedRewritingResult> FindMaximallyContainedRewriting(
     const TslQuery& query, const std::vector<TslQuery>& views,
     const RewriteOptions& options = {});

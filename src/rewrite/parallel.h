@@ -1,7 +1,6 @@
 #ifndef TSLRW_REWRITE_PARALLEL_H_
 #define TSLRW_REWRITE_PARALLEL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -20,9 +19,6 @@ struct ViewProbeOutcome;
 // The search pipeline RewriteQuery and FindMaximallyContainedRewriting
 // share: one input stage (ChaseInputs) and one candidate-verification loop
 // (VerifyCandidates).
-
-/// Resolves RewriteOptions::parallelism: 0 means hardware concurrency.
-size_t ResolveParallelism(size_t requested);
 
 /// The chased inputs of one search. Unsatisfiable views (always empty) are
 /// dropped; an unsatisfiable query is flagged and leaves the rest empty.
@@ -67,23 +63,20 @@ Result<bool> RunCandidateTest(CandidateTest test,
                               const TslRuleSet& expansion);
 
 /// \brief Steps 1B–2 of both searches: the one candidate-verification
-/// path (docs/PARALLELISM.md). \p test picks the \S4 test and the names.
+/// loop (docs/PARALLELISM.md). \p test picks the \S4 test and the names.
 ///
-/// The enumeration stays on the calling thread and is a cheap producer:
-/// each emitted atom subset becomes a named candidate. Verification — chase
-/// (Step 1C), composition (Step 2A), and the \S4 test — runs
-/// through α-invariant memos (the whole verification outcome by a cheap
-/// α-sound fingerprint of the candidate body, the chase by canonical
-/// candidate body under constraints, and the verdict by a fingerprint of
-/// the composed rule set) plus a dedupe of byte-identical candidate bodies.
-/// With `workers == 1` each candidate is verified inline and committed
-/// before the next is emitted; no thread pool is built. With more, batches
-/// go to a worker pool, each worker with its own ComposeCache; all share
-/// \p tester (its tests are const). Outcomes are committed strictly in
-/// enumeration order, so `result` (rewritings, candidates_generated/tested,
-/// truncation) and any returned hard-error Status are byte-identical at
-/// every worker count — and to the plain unmemoized reference in
-/// src/testing.
+/// A plain loop on the calling thread: each atom subset the enumeration
+/// emits becomes a named candidate, which goes through the dominance check,
+/// the dedupe of byte-identical bodies, the safety check, and then
+/// verification — chase (Step 1C), composition (Step 2A) through one
+/// ComposeCache per search, and the \S4 test — through α-invariant memos
+/// (the whole verification outcome by a cheap α-sound fingerprint of the
+/// candidate body, the chase by canonical candidate body under
+/// constraints, and the verdict by a fingerprint of the composed rule
+/// set). It is committed before the next subset is emitted, so `result`
+/// (rewritings, candidates_generated/tested, truncation) and any returned
+/// hard-error Status are byte-identical to the plain unmemoized reference
+/// in src/testing.
 ///
 /// When `options.metrics` is set, every chase, composition, and \S4 test
 /// that actually runs (not a memo hit) is timed into the
@@ -91,9 +84,7 @@ Result<bool> RunCandidateTest(CandidateTest test,
 /// receives the sum of those samples (0 without a registry).
 ///
 /// \param enumerator the Step 1B enumerator (already holding the atoms).
-/// \param workers resolved worker count, >= 1; 1 verifies inline.
-/// \param result receives counters and rewritings; `batches_dispatched`
-///        counts pool submissions, so it stays 0 inline.
+/// \param result receives counters and rewritings.
 /// \param complete receives CandidateEnumerator::Enumerate's completion
 ///        flag (false when max_candidates/should_stop cut the search or a
 ///        hard error stopped it), for the caller's `truncated` computation.
@@ -104,9 +95,8 @@ Status VerifyCandidates(const TslQuery& chased_query,
                         const EquivalenceTester& tester,
                         CandidateTest test,
                         const CandidateEnumerator& enumerator,
-                        const RewriteOptions& options, size_t workers,
-                        RewriteResult* result, bool* complete,
-                        uint64_t* step_us);
+                        const RewriteOptions& options, RewriteResult* result,
+                        bool* complete, uint64_t* step_us);
 
 }  // namespace tslrw
 

@@ -46,10 +46,9 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
       chase_options.constraint_exempt_sources.insert(view.name);
     }
   }
-  // The fired-constraints sink is wired only while chasing the inputs, on
-  // this thread: candidate chases run on worker threads under parallelism,
-  // and excluding them everywhere keeps the result byte-identical across
-  // parallelism levels (and the shared set race-free).
+  // The fired-constraints sink is wired only while chasing the inputs:
+  // candidate chases are skipped on memo hits, so their firings would
+  // report the memos rather than the search.
   chase_options.fired_constraints = &result.fired_constraints;
   const auto inputs_start = SteadyClock::now();
   ScopedSpan chase_span(options.tracer, "rewrite.chase_inputs");
@@ -115,24 +114,21 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
   ObserveIf(options.metrics, "rewrite.phase.tester_us",
             ElapsedUs(tester_start));
   CandidateEnumerator enumerator(std::move(atoms), q.body.size(), options);
-  const size_t workers = ResolveParallelism(options.parallelism);
   ScopedSpan search_span(options.tracer, "rewrite.search");
-  search_span.Annotate("workers", static_cast<uint64_t>(workers));
   const auto verify_start = SteadyClock::now();
   bool complete = true;
   uint64_t step_us = 0;
   const Status failure = VerifyCandidates(
       q, inputs.views, chase_options, tester, CandidateTest::kEquivalent,
-      enumerator, options, workers, &result, &complete, &step_us);
+      enumerator, options, &result, &complete, &step_us);
   result.verify_wall_ticks = ElapsedUs(verify_start);
   if (!failure.ok()) {
     CountIf(options.metrics, "rewrite.errors");
     return failure;
   }
   result.truncated = !complete;
-  // Deterministic facts go on the span; scheduling-dependent diagnostics
-  // (memo hits, batches, wall time) go to metrics only, which keeps the
-  // trace byte-identical at any parallelism (docs/OBSERVABILITY.md).
+  // Deterministic facts go on the span; memo hits and wall time go to
+  // metrics only (docs/OBSERVABILITY.md).
   search_span.Annotate("candidates_generated",
                        static_cast<uint64_t>(result.candidates_generated));
   search_span.Annotate("candidates_tested",
@@ -154,16 +150,13 @@ Result<RewriteResult> RewriteQuery(const TslQuery& query,
         ->Increment(result.chase_cache_hits);
     m.GetCounter("rewrite.equiv_cache_hits")
         ->Increment(result.equiv_cache_hits);
-    m.GetCounter("rewrite.batches_dispatched")
-        ->Increment(result.batches_dispatched);
     if (result.truncated) m.GetCounter("rewrite.truncated")->Increment();
     m.GetHistogram("rewrite.verify_us")->Observe(result.verify_wall_ticks);
-    // Workers' step timers overlap on a pool; the remainder is exact
-    // inline and clamped at zero otherwise.
+    // What verification spent outside the timed chase, compose and \S4
+    // steps. Those are disjoint intervals inside verify_us, each truncated
+    // to whole microseconds, so their sum never exceeds it.
     m.GetHistogram("rewrite.phase.search_overhead_us")
-        ->Observe(result.verify_wall_ticks > step_us
-                      ? result.verify_wall_ticks - step_us
-                      : 0);
+        ->Observe(result.verify_wall_ticks - step_us);
   }
   if (result.truncated && options.strict_limits) {
     return Status::ResourceExhausted(

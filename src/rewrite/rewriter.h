@@ -72,29 +72,14 @@ struct RewriteOptions {
   /// found within budget".
   bool strict_limits = false;
 
-  /// Worker threads for candidate verification (chase + compose + \S4
-  /// test), in RewriteQuery and FindMaximallyContainedRewriting alike.
-  /// `0` means hardware concurrency. Every value runs
-  /// the same memoized pipeline of docs/PARALLELISM.md; this knob only
-  /// chooses where verification runs: `1` (the default) verifies each
-  /// candidate inline on the calling thread (no worker pool), any resolved
-  /// value > 1 fans batches out over a worker pool. Results commit in
-  /// enumeration order, so rewritings, counters, truncation flag, and error
-  /// statuses are byte-identical at every value. Inline is the default
-  /// because the pool's hand-off costs more than it saves on typical
-  /// searches (EXPERIMENTS.md CL-PAR).
-  size_t parallelism = 1;
-
-  /// Optional span tree for this call (docs/OBSERVABILITY.md). Spans are
-  /// opened only on the calling thread — the deterministic control path —
-  /// and annotated with replayed counters, so for a fixed input the trace
-  /// is byte-identical at any `parallelism`. Null disables tracing.
+  /// Optional span tree for this call (docs/OBSERVABILITY.md), annotated
+  /// with the search's counters, so for a fixed input the trace is
+  /// byte-identical run after run. Null disables tracing.
   Tracer* tracer = nullptr;
 
   /// Optional metric sink. Unlike the trace, metrics also absorb the
-  /// scheduling-dependent diagnostics (memo hit rates, wall-clock phase
-  /// timings), so they are *not* covered by the byte-identity guarantee.
-  /// Null disables metrics.
+  /// wall-clock phase timings, so they are *not* covered by the
+  /// byte-identity guarantee. Null disables metrics.
   MetricRegistry* metrics = nullptr;
 };
 
@@ -112,10 +97,8 @@ struct RewriteResult {
   size_t candidates_tested = 0;
   bool truncated = false;
 
-  /// Shared-work diagnostics from the verification pipeline's memos.
-  /// Unlike the counters above these depend on worker scheduling (two
-  /// racing workers may both miss a memo), so they are reported, not
-  /// replayed, by the determinism guarantee.
+  /// Shared-work diagnostics from the verification loop's memos. The plain
+  /// reference has no memos, so these are not compared against it.
   ///
   /// Candidates whose chase outcome was answered by a memo: either the
   /// candidate-level α-memo replayed a chase-unsatisfiable outcome, or —
@@ -131,8 +114,6 @@ struct RewriteResult {
   /// memo keyed on the fingerprint of the composed rule set. Equal keys
   /// imply equal verdicts; see docs/PARALLELISM.md.
   size_t equiv_cache_hits = 0;
-  /// Work batches handed to the worker pool; 0 when verifying inline.
-  size_t batches_dispatched = 0;
   /// Wall-clock microseconds spent verifying candidates.
   uint64_t verify_wall_ticks = 0;
 
@@ -143,12 +124,12 @@ struct RewriteResult {
   /// superset of the views referenced by `rewritings` (dominance pruning and
   /// truncation drop candidates, never atoms), which is exactly what makes
   /// it a sound footprint: a view outside this set cannot change the atom
-  /// list, hence cannot change the search. Deterministic at any parallelism.
+  /// list, hence cannot change the search.
   std::set<std::string> views_touched;
   /// Stable keys (chase.h) of the constraint rules that fired while chasing
   /// the *inputs* (query and views; an indexed search reports the firings
   /// its stored view chases stand for). Candidate-chase firings are
-  /// excluded — they are scheduling-dependent under a worker pool — so this
+  /// excluded (a memo hit skips the chase that would fire them), so this
   /// is observability data, not a sound constraint footprint; the
   /// maintenance layer flushes on any constraints delta regardless.
   std::set<std::string> fired_constraints;

@@ -142,8 +142,7 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
       [this, &snap, &key, &computed_here, &serve, &clock,
        admission_deadline]() -> Result<MediatorPlanSet> {
         computed_here = true;
-        return snap->mediator->Plan(key.canonical,
-                                    options_.rewrite_parallelism,
+        return snap->mediator->Plan(key.canonical, /*ignored=*/1,
                                     serve.tracer, options_.metrics, &clock,
                                     admission_deadline);
       });
@@ -171,7 +170,6 @@ Result<ServeResponse> QueryServer::Answer(const TslQuery& query,
   policy.retry = options_.retry;
   policy.allow_degraded = options_.allow_degraded;
   policy.strict = options_.strict;
-  policy.rewrite_parallelism = options_.rewrite_parallelism;
   policy.seed = serve.seed;
   policy.clock = &clock;
   policy.tracer = serve.tracer;

@@ -69,11 +69,9 @@ struct ServerOptions {
   RetryPolicy retry;
   bool allow_degraded = true;
   bool strict = false;
-  /// Verification workers inside each cold plan search and each failover
-  /// re-plan (RewriteOptions::parallelism semantics: 1, the default, =
-  /// inline on the request thread, 0 = hardware concurrency). Cached plans
-  /// are byte-identical for every value, so this only changes cold-miss
-  /// latency.
+  /// Ignored: plan searches verify every candidate inline on the request
+  /// thread. Kept only because perfbench/perfbench.cc sets it; the next
+  /// revision of the benchmark drops that line and this field.
   size_t rewrite_parallelism = 1;
   /// Optional server-wide metric sink (not owned; must outlive the
   /// server): thread-pool admission, per-request outcomes, plan-cache

@@ -13,8 +13,8 @@ namespace tslrw {
 namespace testing {
 
 /// \brief The plain reference for the verification pipeline: the \S3.4
-/// algorithm as one sequential loop with no memos, no view index, no
-/// worker pool, and no tracing — the oracle RewriteQuery is checked against
+/// algorithm as one loop with no memos, no view index, and no tracing —
+/// the oracle RewriteQuery is checked against
 /// (tests/parallel_rewrite_test.cc), and, with \p test kContained, the
 /// loop ReferenceContainedRewrite builds on.
 ///
@@ -28,7 +28,7 @@ namespace testing {
 ///
 /// Honors `constraints`, `use_cover_heuristic`, `require_total`,
 /// `prune_dominated`, `max_candidates`, `should_stop`, and `strict_limits`;
-/// ignores `parallelism`, `view_index`, `tracer`, and `metrics`. Fills
+/// ignores `view_index`, `tracer`, and `metrics`. Fills
 /// `rewritings`, `mappings_found`, `candidates_generated`,
 /// `candidates_tested`, `truncated`, `views_touched`, `chased_query`, and
 /// `query_unsatisfiable`, and fails with the same Status bytes RewriteQuery

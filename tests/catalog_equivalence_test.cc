@@ -38,8 +38,8 @@ using testing::MustParseDb;
 
 /// Every observable field of a RewriteResult, rendered. Two results with
 /// equal renderings are byte-identical for the caller. The shared-work
-/// diagnostics (cache hits, batches) are scheduling-dependent and outside
-/// the determinism guarantee, so they stay out.
+/// diagnostics (cache hits, wall ticks) describe the memos, not the
+/// answer, so they stay out.
 std::string JoinSet(const std::set<std::string>& keys) {
   return JoinMapped(keys, ",", [](const std::string& k) { return k; });
 }

@@ -34,29 +34,26 @@ std::string Render(const ContainedRewritingResult& r) {
   return out;
 }
 
-/// Runs the plain reference (src/testing) and the contained search at
-/// parallelism {1, 2, 4, 8}: rules with their names, `equivalent`,
-/// `truncated`, `candidates_tested`, and error statuses must match
-/// byte-for-byte. Returns the reference's rule count (0 on error).
+/// Runs the plain reference (src/testing) and the contained search: rules
+/// with their names, `equivalent`, `truncated`, `candidates_tested`, and
+/// error statuses must match byte-for-byte. Returns the reference's rule
+/// count (0 on error).
 size_t ExpectMatchesReference(const TslQuery& query,
                               const std::vector<TslQuery>& views,
-                              RewriteOptions options = {}) {
+                              const RewriteOptions& options = {}) {
   Result<ContainedRewritingResult> reference =
       testing::ReferenceContainedRewrite(query, views, options);
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    options.parallelism = workers;
-    Result<ContainedRewritingResult> actual =
-        FindMaximallyContainedRewriting(query, views, options);
-    SCOPED_TRACE(StrCat("parallelism=", workers, " query=", query.ToString()));
-    EXPECT_EQ(reference.ok(), actual.ok())
-        << (reference.ok() ? actual.status() : reference.status()).ToString();
-    if (!reference.ok() || !actual.ok()) {
-      EXPECT_EQ(reference.status().ToString(), actual.status().ToString());
-      continue;
-    }
-    EXPECT_EQ(Render(*reference), Render(*actual));
+  Result<ContainedRewritingResult> actual =
+      FindMaximallyContainedRewriting(query, views, options);
+  SCOPED_TRACE(StrCat("query=", query.ToString()));
+  EXPECT_EQ(reference.ok(), actual.ok())
+      << (reference.ok() ? actual.status() : reference.status()).ToString();
+  if (!reference.ok() || !actual.ok()) {
+    EXPECT_EQ(reference.status().ToString(), actual.status().ToString());
+    return 0;
   }
-  return reference.ok() ? reference->rewriting.rules.size() : 0;
+  EXPECT_EQ(Render(*reference), Render(*actual));
+  return reference->rewriting.rules.size();
 }
 
 /// Whether every rule's composition with \p views is contained in \p query.

@@ -83,7 +83,7 @@ constexpr const char* kUnanswerable = "unanswerable\n";
 /// entry's canonical query.
 std::string FreshPlans(const std::vector<SourceDescription>& sources,
                        const TslQuery& canonical) {
-  auto plans = MustMake(sources).Plan(canonical, /*rewrite_parallelism=*/1);
+  auto plans = MustMake(sources).Plan(canonical);
   if (!plans.ok()) {
     return plans.status().IsNotFound()
                ? kUnanswerable

@@ -1,9 +1,8 @@
 // The headline guarantee of the observability layer: for a fixed seed and
 // a virtual clock, trace dumps are byte-identical run after run — across
-// five consecutive runs, across verification parallelism (1 vs 8), and
-// through the serving layer. Spans live on the deterministic control path
-// and annotations carry only replayed counters, so nothing in a dump may
-// depend on thread scheduling or wall time.
+// five consecutive runs, and through the serving layer. Spans live on the
+// deterministic control path and annotations carry only replayed counters,
+// so nothing in a dump may depend on thread scheduling or wall time.
 
 #include <map>
 #include <string>
@@ -12,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/string_util.h"
 #include "common/virtual_clock.h"
 #include "mediator/fault.h"
 #include "mediator/mediator.h"
@@ -29,7 +27,7 @@ namespace {
 constexpr int kRuns = 5;
 
 /// One traced rewrite of a RandomRules workload; returns both dumps.
-std::pair<std::string, std::string> TracedRewrite(size_t parallelism) {
+std::pair<std::string, std::string> TracedRewrite() {
   // Seed 99's rules are pinned by random_rules_test.cc, so this workload
   // is itself a stable fixture.
   testing::RandomRules rules(99, 4, 4, "l0");
@@ -41,7 +39,6 @@ std::pair<std::string, std::string> TracedRewrite(size_t parallelism) {
   VirtualClock clock;
   Tracer tracer(&clock);
   RewriteOptions options;
-  options.parallelism = parallelism;
   options.tracer = &tracer;
   auto result = RewriteQuery(query, views, options);
   EXPECT_TRUE(result.ok()) << result.status();
@@ -50,42 +47,12 @@ std::pair<std::string, std::string> TracedRewrite(size_t parallelism) {
 }
 
 TEST(TraceDeterminismTest, RewriteTraceIsByteIdenticalAcrossFiveRuns) {
-  const auto [text, json] = TracedRewrite(/*parallelism=*/1);
+  const auto [text, json] = TracedRewrite();
   EXPECT_NE(text.find("rewrite.search"), std::string::npos) << text;
   for (int run = 1; run < kRuns; ++run) {
-    const auto [t, j] = TracedRewrite(/*parallelism=*/1);
+    const auto [t, j] = TracedRewrite();
     EXPECT_EQ(t, text) << "run " << run;
     EXPECT_EQ(j, json) << "run " << run;
-  }
-}
-
-/// Blanks the `workers` annotation — the one *configuration* echo that
-/// legitimately differs between parallelism settings. Everything else in a
-/// dump must match byte for byte.
-std::string BlankWorkers(std::string dump, size_t workers) {
-  const std::string text_form = StrCat("workers=", workers);
-  const std::string json_form = StrCat("\"workers\":\"", workers, "\"");
-  for (const std::string& needle : {text_form, json_form}) {
-    size_t at;
-    while ((at = dump.find(needle)) != std::string::npos) {
-      dump.replace(at, needle.size(), "workers:N");
-    }
-  }
-  return dump;
-}
-
-TEST(TraceDeterminismTest, RewriteTraceIsIdenticalAtParallelism8) {
-  // Span *content* may not depend on worker scheduling: the dump at
-  // parallelism 8 must equal the sequential one on every run, byte for
-  // byte up to the `workers` config annotation (scheduling-dependent
-  // values live in metrics, never in spans).
-  auto [text, json] = TracedRewrite(/*parallelism=*/1);
-  text = BlankWorkers(std::move(text), 1);
-  json = BlankWorkers(std::move(json), 1);
-  for (int run = 0; run < kRuns; ++run) {
-    auto [t, j] = TracedRewrite(/*parallelism=*/8);
-    EXPECT_EQ(BlankWorkers(std::move(t), 8), text) << "run " << run;
-    EXPECT_EQ(BlankWorkers(std::move(j), 8), json) << "run " << run;
   }
 }
 
